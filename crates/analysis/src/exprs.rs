@@ -12,9 +12,9 @@
 //! Operands of commutative operators are stored in canonical (sorted)
 //! order so `a + b` and `b + a` denote the same expression.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
-use epre_ir::{BinOp, Const, Function, Inst, Reg, Ty, UnOp};
+use epre_ir::{BinOp, BlockId, Const, Function, Inst, Reg, Ty, UnOp};
 
 /// Dense identifier of an expression in a function's [`ExprUniverse`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -76,13 +76,15 @@ impl ExprKey {
         }
     }
 
-    /// The register operands of the expression (empty for constants).
-    pub fn operands(&self) -> Vec<Reg> {
-        match self {
-            ExprKey::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            ExprKey::Un { src, .. } => vec![*src],
-            ExprKey::Const(_) => vec![],
-        }
+    /// The register operands of the expression, in operand order (none
+    /// for constants).
+    pub fn operands(&self) -> impl Iterator<Item = Reg> + Clone {
+        let (a, b) = match *self {
+            ExprKey::Bin { lhs, rhs, .. } => (Some(lhs), Some(rhs)),
+            ExprKey::Un { src, .. } => (Some(src), None),
+            ExprKey::Const(_) => (None, None),
+        };
+        a.into_iter().chain(b)
     }
 }
 
@@ -92,6 +94,10 @@ impl ExprKey {
 /// occurrence. Under the §2.2 naming discipline every occurrence has the
 /// same destination; [`ExprUniverse::is_disciplined`] reports whether that
 /// held, and PRE refuses to transform expressions for which it did not.
+///
+/// The scan also keeps, per instruction, the expression it computes, so
+/// the local predicates and PRE's deletions read each occurrence's id
+/// instead of hashing the instruction again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExprUniverse {
     by_key: HashMap<ExprKey, ExprId>,
@@ -100,8 +106,15 @@ pub struct ExprUniverse {
     names: Vec<Reg>,
     /// Whether every occurrence of the expression targets `names[e]`.
     disciplined: Vec<bool>,
-    /// For each register, the expressions that use it as an operand.
-    used_by: HashMap<Reg, Vec<ExprId>>,
+    /// For each register (by index), the expressions that use it as an
+    /// operand; as long as the highest operand register needs, so equal
+    /// functions give equal universes.
+    used_by: Vec<Vec<ExprId>>,
+    /// The expression each instruction computes, block after block.
+    occurrences: Vec<Option<ExprId>>,
+    /// Where each block's instructions start in `occurrences` (one entry
+    /// per block, plus the end).
+    block_start: Vec<usize>,
 }
 
 impl ExprUniverse {
@@ -112,33 +125,47 @@ impl ExprUniverse {
             keys: Vec::new(),
             names: Vec::new(),
             disciplined: Vec::new(),
-            used_by: HashMap::new(),
+            used_by: Vec::new(),
+            occurrences: Vec::with_capacity(f.inst_count()),
+            block_start: Vec::with_capacity(f.blocks.len() + 1),
         };
         for (_, block) in f.iter_blocks() {
+            u.block_start.push(u.occurrences.len());
             for inst in &block.insts {
-                if let Some(key) = ExprKey::of_inst(inst) {
-                    let dst = inst.dst().expect("expressions define a register");
-                    match u.by_key.get(&key) {
-                        Some(&id) => {
-                            if u.names[id.index()] != dst {
-                                u.disciplined[id.index()] = false;
-                            }
-                        }
-                        None => {
-                            let id = ExprId(u.keys.len() as u32);
-                            u.by_key.insert(key.clone(), id);
-                            for r in key.operands() {
-                                u.used_by.entry(r).or_default().push(id);
-                            }
-                            u.keys.push(key);
-                            u.names.push(dst);
-                            u.disciplined.push(true);
-                        }
-                    }
-                }
+                let occurrence = ExprKey::of_inst(inst).map(|key| u.intern(key, inst));
+                u.occurrences.push(occurrence);
             }
         }
+        u.block_start.push(u.occurrences.len());
         u
+    }
+
+    /// The id of `key`, computed by `inst`: numbered on first sight, else
+    /// checked against the naming discipline.
+    fn intern(&mut self, key: ExprKey, inst: &Inst) -> ExprId {
+        let dst = inst.dst().expect("expressions define a register");
+        let slot = match self.by_key.entry(key) {
+            Entry::Occupied(known) => {
+                let id = *known.get();
+                if self.names[id.index()] != dst {
+                    self.disciplined[id.index()] = false;
+                }
+                return id;
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let id = ExprId(self.keys.len() as u32);
+        for r in slot.key().operands() {
+            if self.used_by.len() <= r.index() {
+                self.used_by.resize(r.index() + 1, Vec::new());
+            }
+            self.used_by[r.index()].push(id);
+        }
+        self.keys.push(slot.key().clone());
+        slot.insert(id);
+        self.names.push(dst);
+        self.disciplined.push(true);
+        id
     }
 
     /// Number of distinct expressions.
@@ -172,9 +199,17 @@ impl ExprUniverse {
         self.disciplined[e.index()]
     }
 
-    /// Expressions that read register `r`.
+    /// Expressions that read register `r` (none for a register past the
+    /// end of the table, such as one allocated after the scan).
     pub fn used_by(&self, r: Reg) -> &[ExprId] {
-        self.used_by.get(&r).map_or(&[], Vec::as_slice)
+        self.used_by.get(r.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The expression each instruction of block `b` computes, in
+    /// instruction order, as the scanned function held it: `Some` exactly
+    /// where [`ExprUniverse::id_of_inst`] would answer `Some`.
+    pub fn occurrences(&self, b: BlockId) -> &[Option<ExprId>] {
+        &self.occurrences[self.block_start[b.index()]..self.block_start[b.index() + 1]]
     }
 
     /// Iterate all `(id, key)` pairs.
@@ -254,8 +289,10 @@ mod tests {
         assert_eq!(u.used_by(x).len(), 1);
         assert_eq!(u.used_by(y).len(), 1);
         assert_eq!(u.used_by(s).len(), 0);
+        // A register allocated after the scan (past the end of the table).
+        assert_eq!(u.used_by(Reg(f.reg_count() as u32 + 100)), &[]);
         let id = u.used_by(x)[0];
-        assert_eq!(u.key(id).operands(), vec![x, y]);
+        assert_eq!(u.key(id).operands().collect::<Vec<_>>(), vec![x, y]);
     }
 
     #[test]

@@ -39,8 +39,8 @@ impl LocalPredicates {
             let bi = bid.index();
             // `killed[e]`: some operand of e has been defined so far in b.
             let mut killed = BitSet::new(cap);
-            for inst in &block.insts {
-                if let Some(e) = universe.id_of_inst(inst) {
+            for (inst, &occurrence) in block.insts.iter().zip(universe.occurrences(bid)) {
+                if let Some(e) = occurrence {
                     if !killed.contains(e.index()) {
                         antloc[bi].insert(e.index());
                     }

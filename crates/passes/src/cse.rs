@@ -97,8 +97,9 @@ pub fn run(f: &mut Function, scope: CseScope) -> bool {
         have.intersect_with(&disciplined);
         let block = &mut f.blocks[bi];
         let mut keep = vec![true; block.insts.len()];
-        for (i, inst) in block.insts.iter().enumerate() {
-            if let Some(e) = universe.id_of_inst(inst) {
+        let occurrences = universe.occurrences(bid);
+        for (i, (inst, &occurrence)) in block.insts.iter().zip(occurrences).enumerate() {
+            if let Some(e) = occurrence {
                 if universe.is_disciplined(e) {
                     if have.contains(e.index()) {
                         keep[i] = false; // value already in its register

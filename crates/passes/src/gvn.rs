@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use epre_ir::{Function, Inst, Reg};
+use epre_ir::{BlockId, Function, Inst, Reg};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
 use crate::budget::{Budget, BudgetExceeded};
@@ -75,14 +75,11 @@ pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExc
 /// [`BudgetExceeded`] exactly as [`run_budgeted`].
 pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<GvnStats, BudgetExceeded> {
     build_ssa(f, SsaOptions { fold_copies: true });
-    let (classes, ticks) = congruence_classes_budgeted(f, budget)?;
-    let mut distinct = classes.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let ops_renamed = rename(f, &classes);
+    let (partition, ticks) = refine(f, budget)?;
+    let ops_renamed = rename(f, &partition);
     dedupe_phis(f);
     destroy_ssa(f);
-    Ok(GvnStats { partitions: distinct.len() as u64, ops_renamed, ticks })
+    Ok(GvnStats { partitions: u64::from(partition.classes), ops_renamed, ticks })
 }
 
 /// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
@@ -113,184 +110,221 @@ pub fn run_counted(
 /// GVN can prove they always hold the same value; this is the raw
 /// material for value-based redundancy audits (see `epre-lint`).
 pub fn value_classes(f: &Function) -> Vec<u32> {
-    congruence_classes(f)
-}
-
-/// Initial partition key.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum InitKey {
-    Const(epre_ir::Const),
-    Bin(epre_ir::BinOp, epre_ir::Ty),
-    Un(epre_ir::UnOp, epre_ir::Ty),
-    Phi(epre_ir::BlockId),
-    /// Parameters, loads, calls: opaque singletons (the payload makes the
-    /// key unique per definition).
-    Opaque(u32),
-}
-
-/// Compute the congruence class of every register (indexed by register).
-/// Registers with no definition (unused allocations) map to themselves.
-fn congruence_classes(f: &Function) -> Vec<u32> {
-    match congruence_classes_budgeted(f, &Budget::UNLIMITED) {
-        Ok((classes, _)) => classes,
+    match refine(f, &Budget::UNLIMITED) {
+        Ok((partition, _)) => partition.class,
         Err(_) => unreachable!("unlimited budget cannot be exceeded"),
     }
 }
 
-/// [`congruence_classes`] with a cooperative checkpoint per refinement
-/// iteration. Also returns the number of refinement iterations consumed.
-fn congruence_classes_budgeted(
-    f: &Function,
-    budget: &Budget,
-) -> Result<(Vec<u32>, u64), BudgetExceeded> {
+/// Initial partition key of a definition with operands or a value.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum InitKey {
+    Const(epre_ir::Const),
+    Bin(epre_ir::BinOp, epre_ir::Ty),
+    Un(epre_ir::UnOp, epre_ir::Ty),
+    Phi(BlockId),
+}
+
+/// The definition of a register that takes part in refinement.
+#[derive(Clone, Copy)]
+enum Def<'a> {
+    /// Parameters, loads, calls: a singleton class of their own.
+    Opaque,
+    Const(epre_ir::Const),
+    Bin { op: epre_ir::BinOp, ty: epre_ir::Ty, lhs: Reg, rhs: Reg },
+    Un { op: epre_ir::UnOp, ty: epre_ir::Ty, src: Reg },
+    Phi { block: BlockId, args: &'a [(BlockId, Reg)] },
+}
+
+impl<'a> Def<'a> {
+    fn of(block: BlockId, inst: &'a Inst) -> Self {
+        match inst {
+            Inst::LoadI { value, .. } => Def::Const(*value),
+            &Inst::Bin { op, ty, lhs, rhs, .. } => Def::Bin { op, ty, lhs, rhs },
+            &Inst::Un { op, ty, src, .. } => Def::Un { op, ty, src },
+            Inst::Phi { args, .. } => Def::Phi { block, args },
+            Inst::Load { .. } | Inst::Call { .. } => Def::Opaque,
+            Inst::Copy { .. } => unreachable!("copies folded during SSA construction"),
+            Inst::Store { .. } => unreachable!("stores define nothing"),
+        }
+    }
+
+    fn init_key(self) -> Option<InitKey> {
+        match self {
+            Def::Opaque => None,
+            Def::Const(c) => Some(InitKey::Const(c)),
+            Def::Bin { op, ty, .. } => Some(InitKey::Bin(op, ty)),
+            Def::Un { op, ty, .. } => Some(InitKey::Un(op, ty)),
+            Def::Phi { block, .. } => Some(InitKey::Phi(block)),
+        }
+    }
+}
+
+/// The stabilized partition. Classes `0..classes` each hold at least one
+/// parameter or definition. A register with neither is alone in class
+/// "number of defined registers + its index", past every defined class.
+struct Partition {
+    /// Class per register, indexed by register number.
+    class: Vec<u32>,
+    /// Number of classes with a defined member.
+    classes: u32,
+}
+
+/// AWZ refinement of the registers that have a definition or are
+/// parameters, with a cooperative checkpoint per round. Also returns the
+/// number of rounds consumed.
+fn refine(f: &Function, budget: &Budget) -> Result<(Partition, u64), BudgetExceeded> {
     let mut meter = budget.start(f);
     let nregs = f.reg_count();
-    // Gather definitions.
-    #[derive(Clone)]
-    enum Def {
-        None,
-        Param(u32),
-        Inst(Inst),
+    // Gather definitions; the last one wins, as the key of a register
+    // defined twice would (see `value_classes`).
+    let mut def_of: Vec<Option<Def>> = vec![None; nregs];
+    for &p in &f.params {
+        def_of[p.index()] = Some(Def::Opaque);
     }
-    let mut defs: Vec<Def> = vec![Def::None; nregs];
-    for (i, &p) in f.params.iter().enumerate() {
-        defs[p.index()] = Def::Param(i as u32);
-    }
-    for (_, block) in f.iter_blocks() {
+    for (bid, block) in f.iter_blocks() {
         for inst in &block.insts {
             if let Some(d) = inst.dst() {
-                defs[d.index()] = Def::Inst(inst.clone());
+                def_of[d.index()] = Some(Def::of(bid, inst));
             }
         }
     }
+    let members: Vec<(Reg, Def)> = def_of
+        .into_iter()
+        .enumerate()
+        .filter_map(|(r, d)| Some((Reg(r as u32), d?)))
+        .collect();
+    let undefined_base = members.len() as u32;
+    let mut class: Vec<u32> = (0..nregs as u32).map(|r| undefined_base + r).collect();
 
-    // Initial partition.
-    let mut class: Vec<u32> = (0..nregs as u32).collect();
-    {
-        let mut key_ids: HashMap<InitKey, u32> = HashMap::new();
-        let mut opaque = 0u32;
-        let mut next = 0u32;
-        let mut id_of = |k: InitKey, key_ids: &mut HashMap<InitKey, u32>| -> u32 {
-            *key_ids.entry(k).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            })
+    // Initial partition: members keyed by operator (or value, or φ
+    // block); opaque definitions get fresh ids of their own.
+    let mut classes = 0u32;
+    let mut fresh = || {
+        classes += 1;
+        classes - 1
+    };
+    let mut key_ids: HashMap<InitKey, u32> = HashMap::new();
+    for &(r, def) in &members {
+        class[r.index()] = match def.init_key() {
+            Some(k) => *key_ids.entry(k).or_insert_with(&mut fresh),
+            None => fresh(),
         };
-        for (r, def) in defs.iter().enumerate() {
-            let key = match def {
-                Def::None => {
-                    // Unused register allocation: unique key.
-                    opaque += 1;
-                    InitKey::Opaque(u32::MAX - opaque)
-                }
-                Def::Param(i) => InitKey::Opaque(1_000_000 + *i),
-                Def::Inst(inst) => match inst {
-                    Inst::LoadI { value, .. } => InitKey::Const(*value),
-                    Inst::Bin { op, ty, .. } => InitKey::Bin(*op, *ty),
-                    Inst::Un { op, ty, .. } => InitKey::Un(*op, *ty),
-                    Inst::Phi { .. } => {
-                        let b = f
-                            .iter_blocks()
-                            .find(|(_, blk)| {
-                                blk.phis().any(|p| p.dst() == inst.dst())
-                            })
-                            .map(|(b, _)| b)
-                            .expect("φ lives in some block");
-                        InitKey::Phi(b)
-                    }
-                    Inst::Load { .. } | Inst::Call { .. } => {
-                        opaque += 1;
-                        InitKey::Opaque(2_000_000 + opaque)
-                    }
-                    Inst::Copy { .. } => unreachable!("copies folded during SSA construction"),
-                    Inst::Store { .. } => unreachable!("stores define nothing"),
-                },
-            };
-            class[r] = id_of(key, &mut key_ids);
-        }
     }
 
-    // Refinement to a fixed point: split classes whose members disagree on
-    // operand classes.
+    // Refinement to a fixed point: split classes whose members disagree
+    // on operand classes. Every round splits or keeps each class, so the
+    // partition is stable exactly when the class count stops growing.
+    let mut leaf_ids: Vec<u32> = Vec::new();
+    let mut bin_ids: HashMap<(u32, u32, u32), u32> = HashMap::new();
+    let mut un_ids: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut phi_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut phi_args: Vec<(u32, u32)> = Vec::new();
+    let mut phi_sig: Vec<u32> = Vec::new();
+    let mut next_class: Vec<u32> = vec![0; members.len()];
     loop {
         meter.tick(f)?;
-        let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-        let mut new_class = vec![0u32; nregs];
+        leaf_ids.clear();
+        leaf_ids.resize(classes as usize, u32::MAX);
+        bin_ids.clear();
+        un_ids.clear();
+        phi_ids.clear();
         let mut next = 0u32;
-        for (r, def) in defs.iter().enumerate() {
-            let ops: Vec<u32> = match def {
-                Def::None | Def::Param(_) => vec![],
-                Def::Inst(inst) => match inst {
-                    Inst::Bin { op, lhs, rhs, .. } => {
-                        let (a, b) = (class[lhs.index()], class[rhs.index()]);
-                        if op.is_commutative() && b < a {
-                            vec![b, a]
-                        } else {
-                            vec![a, b]
+        let mut fresh = || {
+            next += 1;
+            next - 1
+        };
+        for (&(r, def), slot) in members.iter().zip(&mut next_class) {
+            let c = class[r.index()];
+            *slot = match def {
+                Def::Opaque | Def::Const(_) => {
+                    let id = &mut leaf_ids[c as usize];
+                    if *id == u32::MAX {
+                        *id = fresh();
+                    }
+                    *id
+                }
+                Def::Bin { op, lhs, rhs, .. } => {
+                    let (a, b) = (class[lhs.index()], class[rhs.index()]);
+                    let (a, b) = if op.is_commutative() && b < a { (b, a) } else { (a, b) };
+                    *bin_ids.entry((c, a, b)).or_insert_with(&mut fresh)
+                }
+                Def::Un { src, .. } => {
+                    *un_ids.entry((c, class[src.index()])).or_insert_with(&mut fresh)
+                }
+                Def::Phi { args, .. } => {
+                    // Align by predecessor id so positional comparison is
+                    // meaningful across φs of the same block.
+                    phi_args.clear();
+                    phi_args.extend(args.iter().map(|&(b, v)| (b.0, class[v.index()])));
+                    phi_args.sort_unstable();
+                    phi_sig.clear();
+                    phi_sig.push(c);
+                    phi_sig.extend(phi_args.iter().map(|&(_, v)| v));
+                    match phi_ids.get(phi_sig.as_slice()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = fresh();
+                            phi_ids.insert(phi_sig.clone(), id);
+                            id
                         }
                     }
-                    Inst::Un { src, .. } => vec![class[src.index()]],
-                    Inst::Phi { args, .. } => {
-                        // Align by predecessor id so positional comparison
-                        // is meaningful across φs of the same block.
-                        let mut pairs: Vec<(u32, u32)> =
-                            args.iter().map(|&(b, v)| (b.0, class[v.index()])).collect();
-                        pairs.sort_unstable();
-                        pairs.into_iter().map(|(_, c)| c).collect()
-                    }
-                    _ => vec![],
-                },
+                }
             };
-            let sig = (class[r], ops);
-            let id = *sig_ids.entry(sig).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            new_class[r] = id;
         }
-        if new_class == class {
+        let stable = next == classes;
+        classes = next;
+        if stable {
             break;
         }
-        class = new_class;
+        for (&(r, _), &c) in members.iter().zip(&next_class) {
+            class[r.index()] = c;
+        }
     }
-    let ticks = meter.ticks();
-    Ok((class, ticks))
+    Ok((Partition { class, classes }, meter.ticks()))
 }
 
 /// Rewrite every definition and use so each class has exactly one
 /// register. Returns how many instructions and terminators actually
 /// changed.
-fn rename(f: &mut Function, class: &[u32]) -> u64 {
+fn rename(f: &mut Function, partition: &Partition) -> u64 {
+    let class = &partition.class;
     // Representative per class: a parameter if the class has one (the
     // signature must not change), otherwise the lowest-numbered member.
-    let mut rep: HashMap<u32, Reg> = HashMap::new();
-    for r in (0..f.reg_count()).rev() {
-        rep.insert(class[r], Reg(r as u32));
+    // A register outside every defined class keeps its own name.
+    let mut rep = vec![Reg(0); partition.classes as usize];
+    for (r, &c) in class.iter().enumerate().rev() {
+        if let Some(slot) = rep.get_mut(c as usize) {
+            *slot = Reg(r as u32);
+        }
     }
     for &p in &f.params {
-        rep.insert(class[p.index()], p);
+        rep[class[p.index()] as usize] = p;
     }
-    let map = |r: Reg| rep[&class[r.index()]];
+    let map = |r: Reg| rep.get(class[r.index()] as usize).copied().unwrap_or(r);
 
     let mut renamed = 0u64;
     for block in &mut f.blocks {
         for inst in &mut block.insts {
-            let before = inst.clone();
-            inst.map_uses(map);
+            let mut changed = false;
+            let mut map_tracked = |r: Reg| {
+                let new = map(r);
+                changed |= new != r;
+                new
+            };
+            inst.map_uses(&mut map_tracked);
             if let Some(d) = inst.dst() {
-                inst.set_dst(map(d));
+                inst.set_dst(map_tracked(d));
             }
-            if *inst != before {
-                renamed += 1;
-            }
+            renamed += u64::from(changed);
         }
-        let before = block.term.clone();
-        block.term.map_uses(map);
-        if block.term != before {
-            renamed += 1;
-        }
+        let mut changed = false;
+        block.term.map_uses(|r| {
+            let new = map(r);
+            changed |= new != r;
+            new
+        });
+        renamed += u64::from(changed);
     }
     renamed
 }
@@ -530,5 +564,122 @@ mod tests {
                 .unwrap();
             assert_eq!(r, Some(epre_interp::Value::Int(if p == 0 { 42 } else { 13 })));
         }
+    }
+
+    /// Run `f` on integer arguments in the interpreter.
+    fn eval(f: &Function, args: &[i64]) -> Option<epre_interp::Value> {
+        let mut m = epre_ir::Module::new();
+        m.functions.push(f.clone());
+        let args: Vec<_> = args.iter().map(|&a| epre_interp::Value::Int(a)).collect();
+        epre_interp::Interpreter::new(&m).run(&f.name, &args).unwrap()
+    }
+
+    /// Thousands of allocated but never-defined registers: they stay out
+    /// of the refinement, each alone in a class no defined register
+    /// shares, and the `partitions` counter counts only defined classes.
+    #[test]
+    fn sparse_registers_stay_out_of_the_partition() {
+        let mut b = FunctionBuilder::new("sparse", Some(Ty::Int));
+        let x = b.param(Ty::Int);
+        let y = b.param(Ty::Int);
+        for _ in 0..5000 {
+            b.new_reg(Ty::Int);
+        }
+        let s1 = b.bin(BinOp::Add, Ty::Int, x, y);
+        let s2 = b.bin(BinOp::Add, Ty::Int, y, x);
+        let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
+        b.ret(Some(m));
+        let f = b.finish();
+
+        let mut ssa = f.clone();
+        build_ssa(&mut ssa, SsaOptions { fold_copies: true });
+        let class = value_classes(&ssa);
+        assert_eq!(class.len(), ssa.reg_count());
+        let mut defined: Vec<Reg> = ssa.params.clone();
+        defined.extend(ssa.blocks.iter().flat_map(|b| &b.insts).filter_map(Inst::dst));
+        let mut defined_classes: Vec<u32> = defined.iter().map(|r| class[r.index()]).collect();
+        defined_classes.sort_unstable();
+        defined_classes.dedup();
+        // x, y, x+y (both orders), the product.
+        assert_eq!(defined_classes.len(), 4);
+        let mut all = class.clone();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), ssa.reg_count() - 1, "only the two adds share a class");
+
+        let mut g = f.clone();
+        let stats = run_budgeted_stats(&mut g, &Budget::UNLIMITED).unwrap();
+        assert_eq!(stats.partitions, 4);
+        assert!(g.verify().is_ok());
+        assert_eq!(eval(&g, &[3, 4]), eval(&f, &[3, 4]));
+    }
+
+    /// A parameter nothing reads is a member of its own class and keeps
+    /// its name: the function's signature never changes.
+    #[test]
+    fn unused_parameter_keeps_its_name() {
+        let mut b = FunctionBuilder::new("unused", Some(Ty::Int));
+        let x = b.param(Ty::Int);
+        let _unused = b.param(Ty::Int);
+        let one = b.loadi(Const::Int(1));
+        let s = b.bin(BinOp::Add, Ty::Int, x, one);
+        b.ret(Some(s));
+        let mut f = b.finish();
+        let params = f.params.clone();
+        run(&mut f);
+        assert_eq!(f.params, params);
+        assert!(f.verify().is_ok());
+        assert_eq!(eval(&f, &[41, 7]), Some(epre_interp::Value::Int(42)));
+    }
+
+    /// Two φs whose arguments are congruent position by position but that
+    /// live in different blocks: the block is part of the initial key, so
+    /// they stay apart (each join picks on its own condition).
+    #[test]
+    fn phis_of_different_blocks_stay_apart() {
+        let mut b = FunctionBuilder::new("two_joins", Some(Ty::Int));
+        let a = b.param(Ty::Int);
+        let c = b.param(Ty::Int);
+        let p = b.param(Ty::Int);
+        let q = b.param(Ty::Int);
+        let v = b.new_reg(Ty::Int);
+        let u = b.new_reg(Ty::Int);
+        let (t1, e1, j1) = (b.new_block(), b.new_block(), b.new_block());
+        let (t2, e2, j2) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(p, t1, e1);
+        b.switch_to(t1);
+        b.copy_to(v, a);
+        b.jump(j1);
+        b.switch_to(e1);
+        b.copy_to(v, c);
+        b.jump(j1);
+        b.switch_to(j1);
+        b.branch(q, t2, e2);
+        b.switch_to(t2);
+        b.copy_to(u, a);
+        b.jump(j2);
+        b.switch_to(e2);
+        b.copy_to(u, c);
+        b.jump(j2);
+        b.switch_to(j2);
+        let d = b.bin(BinOp::Sub, Ty::Int, v, u);
+        b.ret(Some(d));
+        let f = b.finish();
+
+        let mut ssa = f.clone();
+        build_ssa(&mut ssa, SsaOptions { fold_copies: true });
+        let phis: Vec<Reg> =
+            ssa.blocks.iter().flat_map(|b| b.phis()).filter_map(Inst::dst).collect();
+        assert_eq!(phis.len(), 2, "{ssa}");
+        let class = value_classes(&ssa);
+        assert_ne!(class[phis[0].index()], class[phis[1].index()]);
+
+        let mut g = f.clone();
+        run(&mut g);
+        assert!(g.verify().is_ok());
+        for (p, q) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            assert_eq!(eval(&g, &[10, 3, p, q]), eval(&f, &[10, 3, p, q]), "p={p} q={q}");
+        }
+        assert_eq!(eval(&g, &[10, 3, 1, 0]), Some(epre_interp::Value::Int(7)));
     }
 }

@@ -275,8 +275,9 @@ fn run_once_metered(
         let block = &mut f.blocks[b];
         let mut killed = BitSet::new(cap);
         let mut keep: Vec<bool> = vec![true; block.insts.len()];
-        for (idx, inst) in block.insts.iter().enumerate() {
-            if let Some(e) = universe.id_of_inst(inst) {
+        let occurrences = universe.occurrences(BlockId(b as u32));
+        for (idx, (inst, &occurrence)) in block.insts.iter().zip(occurrences).enumerate() {
+            if let Some(e) = occurrence {
                 if del.contains(e.index()) && !killed.contains(e.index()) {
                     keep[idx] = false;
                     any_change = true;
@@ -325,7 +326,7 @@ fn materialize(universe: &ExprUniverse, exprs: &[ExprId]) -> Vec<Inst> {
             .iter()
             .position(|&e| {
                 let ops = universe.key(e).operands();
-                !pending.iter().any(|&o| o != e && ops.contains(&universe.name(o)))
+                !pending.iter().any(|&o| o != e && ops.clone().any(|r| r == universe.name(o)))
             })
             .unwrap_or(0); // cycle cannot arise from hash-table naming
         let e = pending.remove(pick);

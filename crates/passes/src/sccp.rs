@@ -10,8 +10,6 @@
 //! Constant folding here mirrors the interpreter exactly (including *not*
 //! folding integer division by zero, which must still trap at run time).
 
-use std::collections::HashMap;
-
 use epre_analysis::AnalysisCache;
 use epre_ir::{BlockId, Const, Function, Inst, Reg, Terminator};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
@@ -105,32 +103,28 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     let mut meter = budget.start(f);
 
     let nregs = f.reg_count();
-    let mut value: Vec<Lattice> = vec![Lattice::Top, Lattice::Top]
-        .into_iter()
-        .cycle()
-        .take(nregs)
-        .collect();
+    let mut value = vec![Lattice::Top; nregs];
     for &p in &f.params {
         value[p.index()] = Lattice::Bottom;
     }
 
-    // def site and use sites per register.
-    let mut def_of: HashMap<Reg, (BlockId, usize)> = HashMap::new();
-    let mut uses_of: HashMap<Reg, Vec<(BlockId, usize)>> = HashMap::new();
+    // Use sites per register: instructions, and blocks branching on it.
+    let mut inst_uses = Vec::new();
+    let mut branch_uses = Vec::new();
     for (bid, block) in f.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
-            if let Some(d) = inst.dst() {
-                def_of.insert(d, (bid, i));
-            }
-            for u in inst.uses() {
-                uses_of.entry(u).or_default().push((bid, i));
-            }
+            inst_uses.extend(inst.uses().into_iter().map(|u| (u, (bid, i))));
+        }
+        if let Terminator::Branch { cond, .. } = block.term {
+            branch_uses.push((cond, bid));
         }
     }
+    let uses_of = SitesByReg::new(nregs, inst_uses);
+    let branches_on = SitesByReg::new(nregs, branch_uses);
 
     // Executable edges and visited blocks.
     let n = f.blocks.len();
-    let mut edge_exec: HashMap<(BlockId, BlockId), bool> = HashMap::new();
+    let mut edge_exec = ExecEdges(vec![0; n]);
     let mut block_visited = vec![false; n];
     let mut flow_work: Vec<(BlockId, BlockId)> = Vec::new();
     let mut ssa_work: Vec<Reg> = Vec::new();
@@ -138,62 +132,53 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     // Virtual entry edge.
     let entry = BlockId::ENTRY;
     block_visited[entry.index()] = true;
-    let eval_block = |f: &Function,
-                          b: BlockId,
-                          value: &mut Vec<Lattice>,
-                          ssa_work: &mut Vec<Reg>,
-                          flow_work: &mut Vec<(BlockId, BlockId)>,
-                          edge_exec: &HashMap<(BlockId, BlockId), bool>| {
-        for (i, inst) in f.block(b).insts.iter().enumerate() {
-            visit_inst(f, b, i, inst, value, ssa_work, edge_exec);
+    let eval_block = |b: BlockId,
+                      value: &mut [Lattice],
+                      ssa_work: &mut Vec<Reg>,
+                      flow_work: &mut Vec<(BlockId, BlockId)>,
+                      edge_exec: &ExecEdges| {
+        for inst in &f.block(b).insts {
+            visit_inst(f, b, inst, value, ssa_work, edge_exec);
         }
         visit_terminator(f, b, value, flow_work, edge_exec);
     };
-    eval_block(f, entry, &mut value, &mut ssa_work, &mut flow_work, &edge_exec);
+    eval_block(entry, &mut value, &mut ssa_work, &mut flow_work, &edge_exec);
 
     while !flow_work.is_empty() || !ssa_work.is_empty() {
         while let Some((from, to)) = flow_work.pop() {
             meter.tick(f)?;
-            if *edge_exec.get(&(from, to)).unwrap_or(&false) {
+            if edge_exec.contains(f, from, to) {
                 continue;
             }
-            edge_exec.insert((from, to), true);
+            edge_exec.insert(f, from, to);
             if !block_visited[to.index()] {
                 block_visited[to.index()] = true;
-                eval_block(f, to, &mut value, &mut ssa_work, &mut flow_work, &edge_exec);
+                eval_block(to, &mut value, &mut ssa_work, &mut flow_work, &edge_exec);
             } else {
                 // Re-evaluate only the φs (a new incoming edge).
-                for (i, inst) in f.block(to).insts.iter().enumerate() {
-                    if matches!(inst, Inst::Phi { .. }) {
-                        visit_inst(f, to, i, inst, &mut value, &mut ssa_work, &edge_exec);
-                    } else {
-                        break;
-                    }
+                for inst in f.block(to).phis() {
+                    visit_inst(f, to, inst, &mut value, &mut ssa_work, &edge_exec);
                 }
             }
         }
         while let Some(r) = ssa_work.pop() {
             meter.tick(f)?;
-            if let Some(sites) = uses_of.get(&r) {
-                for &(b, i) in sites {
-                    if !block_visited[b.index()] {
-                        continue;
-                    }
-                    let inst = &f.block(b).insts[i];
-                    visit_inst(f, b, i, inst, &mut value, &mut ssa_work, &edge_exec);
+            for &(b, i) in uses_of.get(r) {
+                if block_visited[b.index()] {
+                    visit_inst(f, b, &f.block(b).insts[i], &mut value, &mut ssa_work, &edge_exec);
                 }
             }
-            // The register may also feed a terminator.
-            for (bid, block) in f.iter_blocks() {
-                if block_visited[bid.index()] && block.term.uses().contains(&r) {
-                    visit_terminator(f, bid, &mut value, &mut flow_work, &edge_exec);
+            // The register may also decide a branch.
+            for &b in branches_on.get(r) {
+                if block_visited[b.index()] {
+                    visit_terminator(f, b, &mut value, &mut flow_work, &edge_exec);
                 }
             }
         }
     }
 
     // Rewrite: constant definitions become loadi; constant branches fold.
-    for (bid, block) in f.blocks.iter_mut().enumerate() {
+    for block in &mut f.blocks {
         for inst in &mut block.insts {
             if matches!(inst, Inst::Call { .. } | Inst::Store { .. } | Inst::Load { .. }) {
                 continue; // side effects / memory stay
@@ -215,7 +200,6 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
                 stats.branches_folded += 1;
             }
         }
-        let _ = bid;
     }
     stats.ticks = meter.ticks();
 
@@ -230,14 +214,66 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     Ok(stats)
 }
 
+/// Sites per register in one flat array: the sites of register `r` are
+/// `sites[start[r]..start[r + 1]]`, in the order they were listed.
+struct SitesByReg<T> {
+    start: Vec<u32>,
+    sites: Vec<T>,
+}
+
+impl<T> SitesByReg<T> {
+    fn new(nregs: usize, mut pairs: Vec<(Reg, T)>) -> Self {
+        pairs.sort_by_key(|&(r, _)| r); // stable: sites keep their listed order
+        let mut start = vec![0u32; nregs + 1];
+        for (r, _) in &pairs {
+            start[r.index() + 1] += 1;
+        }
+        for i in 0..nregs {
+            start[i + 1] += start[i];
+        }
+        SitesByReg { start, sites: pairs.into_iter().map(|(_, site)| site).collect() }
+    }
+
+    fn get(&self, r: Reg) -> &[T] {
+        &self.sites[self.start[r.index()] as usize..self.start[r.index() + 1] as usize]
+    }
+}
+
+/// Executable CFG edges as a per-block successor bitmap: bit `k` of a
+/// block's entry is set once the edge to its `k`-th successor has run.
+/// A branch whose two targets coincide has one edge, set and read through
+/// both bits.
+struct ExecEdges(Vec<u8>);
+
+impl ExecEdges {
+    /// The successor bits of `from` that lead to `to` (none when `to` is
+    /// not a successor).
+    fn bits(f: &Function, from: BlockId, to: BlockId) -> u8 {
+        match f.block(from).term {
+            Terminator::Jump { target } => u8::from(target == to),
+            Terminator::Branch { then_to, else_to, .. } => {
+                u8::from(then_to == to) | u8::from(else_to == to) << 1
+            }
+            Terminator::Return { .. } => 0,
+        }
+    }
+
+    fn contains(&self, f: &Function, from: BlockId, to: BlockId) -> bool {
+        self.0[from.index()] & Self::bits(f, from, to) != 0
+    }
+
+    fn insert(&mut self, f: &Function, from: BlockId, to: BlockId) {
+        self.0[from.index()] |= Self::bits(f, from, to);
+    }
+}
+
 fn visit_inst(
-    _f: &Function,
+    f: &Function,
     b: BlockId,
-    _i: usize,
     inst: &Inst,
     value: &mut [Lattice],
     ssa_work: &mut Vec<Reg>,
-    edge_exec: &HashMap<(BlockId, BlockId), bool>,
+    edge_exec: &ExecEdges,
 ) {
     let Some(d) = inst.dst() else { return };
     let old = value[d.index()];
@@ -270,7 +306,7 @@ fn visit_inst(
         Inst::Phi { args, .. } => {
             let mut acc = Lattice::Top;
             for &(pb, r) in args {
-                if *edge_exec.get(&(pb, b)).unwrap_or(&false) {
+                if edge_exec.contains(f, pb, b) {
                     acc = acc.meet(value[r.index()]);
                 }
             }
@@ -296,20 +332,16 @@ fn visit_terminator(
     b: BlockId,
     value: &mut [Lattice],
     flow_work: &mut Vec<(BlockId, BlockId)>,
-    edge_exec: &HashMap<(BlockId, BlockId), bool>,
+    edge_exec: &ExecEdges,
 ) {
-    match &f.block(b).term {
-        Terminator::Jump { target } => {
-            if !*edge_exec.get(&(b, *target)).unwrap_or(&false) {
-                flow_work.push((b, *target));
-            }
+    let push = |flow_work: &mut Vec<(BlockId, BlockId)>, t: BlockId| {
+        if !edge_exec.contains(f, b, t) {
+            flow_work.push((b, t));
         }
+    };
+    match &f.block(b).term {
+        Terminator::Jump { target } => push(flow_work, *target),
         Terminator::Branch { cond, then_to, else_to } => {
-            let push = |flow_work: &mut Vec<(BlockId, BlockId)>, t: BlockId| {
-                if !*edge_exec.get(&(b, t)).unwrap_or(&false) {
-                    flow_work.push((b, t));
-                }
-            };
             match value[cond.index()] {
                 Lattice::Val(c) => {
                     if c.is_zero() {
@@ -548,5 +580,49 @@ mod tests {
             .iter()
             .flat_map(|b| &b.insts)
             .any(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. })));
+    }
+
+    /// The loop test `i == 0` is the constant 1 when its block is first
+    /// visited (only the entry edge has run), so only the body edge opens.
+    /// The back edge then lowers `i` to ⊥, and the branch must be visited
+    /// again through its condition's users, or the exit is never evaluated
+    /// and its constant sum never folds.
+    #[test]
+    fn branch_revisited_when_its_condition_lowers() {
+        let mut b = FunctionBuilder::new("lower", Some(Ty::Int));
+        let i = b.new_reg(Ty::Int);
+        let head = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        let zero = b.loadi(Const::Int(0));
+        b.copy_to(i, zero);
+        b.jump(head);
+        b.switch_to(head);
+        let z = b.loadi(Const::Int(0));
+        let c = b.bin(BinOp::CmpEq, Ty::Int, i, z);
+        b.branch(c, body, exit);
+        b.switch_to(body);
+        let one = b.loadi(Const::Int(1));
+        let i2 = b.bin(BinOp::Add, Ty::Int, i, one);
+        b.copy_to(i, i2);
+        b.jump(head);
+        b.switch_to(exit);
+        let two = b.loadi(Const::Int(2));
+        let three = b.loadi(Const::Int(3));
+        let five = b.bin(BinOp::Add, Ty::Int, two, three);
+        let r = b.bin(BinOp::Add, Ty::Int, i, five);
+        b.ret(Some(r));
+        let mut f = b.finish();
+        let stats = run_budgeted_stats(&mut f, &Budget::UNLIMITED).unwrap();
+        assert!(f.verify().is_ok(), "{f}");
+        assert_eq!(stats.branches_folded, 0, "{f}");
+        assert!(f.blocks.iter().any(|b| matches!(b.term, Terminator::Branch { .. })), "{f}");
+        // The exit ran through SCCP: its constant sum folded.
+        let mut insts = f.blocks.iter().flat_map(|b| &b.insts);
+        assert!(insts.any(|i| matches!(i, Inst::LoadI { value: Const::Int(5), .. })), "{f}");
+        let mut m = epre_ir::Module::new();
+        m.functions.push(f);
+        let mut it = epre_interp::Interpreter::new(&m);
+        assert_eq!(it.run("lower", &[]).unwrap(), Some(epre_interp::Value::Int(6)));
     }
 }

@@ -23,6 +23,12 @@ cargo clippy --workspace $CARGO_FLAGS -- -D warnings
 echo "==> bench smoke"
 CARGO_FLAGS="$CARGO_FLAGS" scripts/bench_smoke.sh
 
+echo "==> perfbench selftest"
+# The benchmark driver links the workspace crates: a change to any of them
+# must keep the driver building, its tests passing and its metric list
+# equal to BENCHMARK.json's.
+python3 perfbench/run.py selftest
+
 echo "==> BENCH_OPT schema check (cpus, coalesce_share, monotonic runs)"
 # Every appended run must record the host's cpu count (so parallel
 # speedups are interpretable) and the coalesce share of pass time (so the
