@@ -6,90 +6,29 @@
 //! and several times *within* passes like `sccp` and `clean`. The
 //! [`AnalysisCache`] removes that cost without giving up the filter
 //! structure: the pipeline owns one cache per function, passes request
-//! analyses through it, and invalidation is driven by what each pass
-//! *reports* ([`PreservedAnalyses`]) rather than by pessimistic
-//! recomputation.
+//! analyses through it, and each pass drops exactly the analyses its own
+//! edits broke rather than the pipeline recomputing pessimistically.
 //!
 //! The contract (enforced in debug builds by [`AnalysisCache::validate`]):
 //!
-//! * a pass that reports **no IR change** preserves every cached analysis;
-//! * a pass that reports a change preserves exactly the set named by its
-//!   `preserves()` declaration — everything else is dropped;
+//! * a pass that leaves an analysis's inputs untouched keeps the entry;
+//! * a pass that edits the IR invalidates every family its edits made
+//!   stale ([`AnalysisCache::invalidate_cfg`],
+//!   [`AnalysisCache::invalidate_universe`],
+//!   [`AnalysisCache::invalidate_liveness`], or
+//!   [`AnalysisCache::invalidate_all`]);
 //! * a cached entry, when present, is always equal to what a fresh
 //!   computation over the current function would produce.
 //!
-//! A pass that lies — mutating the CFG while claiming to preserve it —
-//! is caught by `validate` and surfaced as a verifier-kind pass fault by
-//! the pipeline.
+//! A pass that forgets an invalidation — mutating the CFG while leaving
+//! the cached one in place — is caught by `validate` and surfaced as a
+//! verifier-kind pass fault by the pipeline.
 
 use epre_cfg::{order, Cfg, Dominators};
 use epre_ir::{BlockId, Function};
 
 use crate::exprs::ExprUniverse;
 use crate::liveness::Liveness;
-
-/// The set of cached analyses a pass keeps valid when it changes the IR.
-///
-/// The flags are coarse on purpose, mirroring how the analyses depend on
-/// each other: `cfg` covers the whole control-flow family (CFG, reverse
-/// postorder, postorder, dominators), which is invalidated only by edits
-/// to block structure or terminators; `universe` covers the lexical
-/// expression universe, invalidated by any instruction edit; `liveness`
-/// covers the per-block live-variable sets, invalidated by any edit that
-/// adds, removes, or renames a definition or use (which in practice means
-/// any instruction edit — CFG edits drop it transitively).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PreservedAnalyses {
-    cfg: bool,
-    universe: bool,
-    liveness: bool,
-}
-
-impl PreservedAnalyses {
-    /// Nothing survives — the safe default for a transforming pass.
-    pub fn none() -> Self {
-        PreservedAnalyses { cfg: false, universe: false, liveness: false }
-    }
-
-    /// Everything survives — what a pass reporting "no change" implies.
-    pub fn all() -> Self {
-        PreservedAnalyses { cfg: true, universe: true, liveness: true }
-    }
-
-    /// Builder: additionally preserve the control-flow family (CFG,
-    /// traversal orders, dominators).
-    pub fn with_cfg(mut self) -> Self {
-        self.cfg = true;
-        self
-    }
-
-    /// Builder: additionally preserve the expression universe.
-    pub fn with_universe(mut self) -> Self {
-        self.universe = true;
-        self
-    }
-
-    /// Builder: additionally preserve the live-variable sets.
-    pub fn with_liveness(mut self) -> Self {
-        self.liveness = true;
-        self
-    }
-
-    /// Does the set include the control-flow family?
-    pub fn preserves_cfg(&self) -> bool {
-        self.cfg
-    }
-
-    /// Does the set include the expression universe?
-    pub fn preserves_universe(&self) -> bool {
-        self.universe
-    }
-
-    /// Does the set include the live-variable sets?
-    pub fn preserves_liveness(&self) -> bool {
-        self.liveness
-    }
-}
 
 /// Hit/miss counters for one [`AnalysisCache`] (or a whole run, via
 /// [`CacheStats::merge`]).
@@ -266,20 +205,6 @@ impl AnalysisCache {
         self.liveness = None;
     }
 
-    /// Keep exactly the analyses in `preserved`, dropping the rest. This is
-    /// what the pipeline applies after a pass reports an IR change.
-    pub fn retain(&mut self, preserved: PreservedAnalyses) {
-        if !preserved.preserves_cfg() {
-            self.invalidate_cfg();
-        }
-        if !preserved.preserves_universe() {
-            self.invalidate_universe();
-        }
-        if !preserved.preserves_liveness() {
-            self.invalidate_liveness();
-        }
-    }
-
     /// Is a CFG currently cached? (Inspection hook for tests.)
     pub fn has_cfg(&self) -> bool {
         self.cfg.is_some()
@@ -303,9 +228,8 @@ impl AnalysisCache {
     /// Check every cached entry against a fresh computation over `f`.
     ///
     /// This is the cache-soundness oracle the pipeline runs in debug
-    /// builds after each pass: a pass that mutated the IR while reporting
-    /// "unchanged", or that broke an analysis its `preserves()` declaration
-    /// claimed to keep, produces a mismatch here and is blamed by name.
+    /// builds after each pass: a pass that broke an analysis without
+    /// invalidating it produces a mismatch here and is blamed by name.
     ///
     /// # Errors
     /// A human-readable description of the first stale entry found.
@@ -384,23 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_follows_preserved_sets() {
-        let f = diamond();
-        let mut cache = AnalysisCache::new();
-        let _ = cache.cfg(&f);
-        let _ = cache.universe(&f);
-        cache.retain(PreservedAnalyses::none().with_cfg());
-        assert!(cache.has_cfg());
-        assert!(!cache.has_universe());
-        cache.retain(PreservedAnalyses::none());
-        assert!(!cache.has_cfg());
-        // all() keeps everything.
-        let _ = cache.cfg(&f);
-        cache.retain(PreservedAnalyses::all());
-        assert!(cache.has_cfg());
-    }
-
-    #[test]
     fn validate_detects_stale_cfg_and_universe() {
         let mut f = diamond();
         let mut cache = AnalysisCache::new();
@@ -439,12 +346,11 @@ mod tests {
         cache.invalidate_cfg();
         assert!(!cache.has_liveness());
 
-        // retain() honors the liveness flag; all() keeps it.
+        // Liveness can also fall on its own, keeping the CFG.
         let _ = cache.liveness(&f);
-        cache.retain(PreservedAnalyses::all());
-        assert!(cache.has_liveness());
-        cache.retain(PreservedAnalyses::none().with_cfg().with_universe());
+        cache.invalidate_liveness();
         assert!(!cache.has_liveness());
+        assert!(cache.has_cfg());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`local`] — the per-block local predicates `TRANSP`, `ANTLOC`, `COMP`
 //!   that seed PRE's global systems,
 //! * [`cache`] — the [`AnalysisCache`]: lazily-memoized per-function
-//!   CFG/orders/dominators/universe with pass-declared preservation, the
+//!   CFG/orders/dominators/universe/liveness that passes invalidate as they edit, the
 //!   backbone of the pass manager.
 
 pub mod bitset;
@@ -29,7 +29,7 @@ pub mod liveness;
 pub mod local;
 
 pub use bitset::BitSet;
-pub use cache::{AnalysisCache, CacheStats, PreservedAnalyses};
+pub use cache::{AnalysisCache, CacheStats};
 pub use dataflow::{solve, Direction, Meet, Solution};
 pub use exprs::{ExprId, ExprKey, ExprUniverse};
 pub use liveness::Liveness;

@@ -31,8 +31,8 @@ enum Variant {
 }
 
 fn optimize(f: &mut Function, v: Variant) {
-    Reassociate { distribute: true }.run(f);
-    Gvn.run(f);
+    Reassociate { distribute: true }.apply(f);
+    Gvn.apply(f);
     // Local value numbering runs in every variant so the comparison
     // isolates the *global* capabilities: the §5.3 hierarchy is about
     // which global redundancies each approach can see, while within-block
@@ -41,25 +41,25 @@ fn optimize(f: &mut Function, v: Variant) {
     match v {
         Variant::DomCse => {
             cse::run_dominator(f);
-            Lvn.run(f);
+            Lvn.apply(f);
         }
         Variant::AvailCse => {
             cse::run_available(f);
-            Lvn.run(f);
+            Lvn.apply(f);
         }
         Variant::Pre => {
-            Pre.run(f);
-            Lvn.run(f);
+            Pre.apply(f);
+            Lvn.apply(f);
         }
         Variant::PreNoLvn => {
-            Pre.run(f);
+            Pre.apply(f);
         }
     }
-    ConstProp.run(f);
-    Peephole.run(f);
-    Dce.run(f);
-    Coalesce.run(f);
-    Clean.run(f);
+    ConstProp.apply(f);
+    Peephole.apply(f);
+    Dce.apply(f);
+    Coalesce.apply(f);
+    Clean.apply(f);
 }
 
 fn count(routine: &epre_suite::Routine, v: Variant) -> u64 {

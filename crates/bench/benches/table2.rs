@@ -7,6 +7,7 @@
 
 use epre_frontend::NamingMode;
 use epre_passes::reassoc::{reassociate, ReassocOptions};
+use epre_passes::{Budget, PassCx};
 use epre_suite::all_routines;
 
 fn main() {
@@ -20,7 +21,9 @@ fn main() {
         let mut before = 0usize;
         let mut after = 0usize;
         for f in &mut module.functions {
-            let stats = reassociate(f, ReassocOptions { distribute: true });
+            let options = ReassocOptions { distribute: true };
+            let stats = reassociate(f, options, &mut PassCx::new(Budget::UNLIMITED))
+                .expect("an unlimited budget is never exceeded");
             before += stats.ops_before;
             after += stats.ops_after;
         }

@@ -9,9 +9,7 @@
 //!   propagation (before / after / factor, with totals),
 //! * `--bench hierarchy` — the §5.3 redundancy-elimination hierarchy
 //!   (dominator CSE ⊂ available-expressions CSE ⊂ PRE), an ablation the
-//!   paper discusses qualitatively,
-//! * `--bench pass_timing` — Criterion micro-benchmarks of pass
-//!   throughput on suite routines.
+//!   paper discusses qualitatively.
 //!
 //! Helper functions live here so the benches stay thin and testable.
 

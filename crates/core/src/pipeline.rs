@@ -1,14 +1,14 @@
 //! The optimization pipelines of the paper's experimental study (§4.1).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Module};
 use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
-use epre_passes::{Budget, Pass};
+use epre_passes::{Budget, Pass, PassCx};
 
 use crate::fault::PassFault;
+use crate::shards::WorkShards;
 
 /// The paper's four measured optimization levels, plus extension levels
 /// used by the ablation benchmarks.
@@ -133,9 +133,10 @@ impl Optimizer {
     /// # Errors
     /// The first [`PassFault`] encountered, if any.
     pub fn try_optimize_function(&self, f: &mut Function) -> Result<(), PassFault> {
-        let mut cache = AnalysisCache::new();
+        let mut cx = PassCx::new(self.budget);
         for pass in self.passes() {
-            run_pass_budgeted(pass.as_ref(), f, &mut cache, &self.budget)?;
+            run_pass(pass.as_ref(), f, &mut cx)?;
+            cx.counters.clear();
         }
         Ok(())
     }
@@ -180,9 +181,8 @@ impl Optimizer {
     /// reporting a typed fault instead of panicking.
     ///
     /// Functions are independent compilation units in this pipeline, so
-    /// they are distributed over a [`std::thread::scope`] worker pool (no
-    /// external dependencies) via work-stealing shards
-    /// ([`crate::shards::WorkShards`]): each worker owns a contiguous
+    /// they are distributed over the workspace's one ordered parallel map
+    /// ([`WorkShards::map_ordered`]): each worker owns a contiguous
     /// chunk of the module and steals from the back of a sibling's shard
     /// when its own runs dry, so one heavyweight function cannot strand
     /// the rest of a chunk behind it. The output is **deterministic**: functions
@@ -197,38 +197,17 @@ impl Optimizer {
     /// # Errors
     /// The first [`PassFault`] in module function order.
     pub fn try_optimize_jobs(&self, module: &Module, jobs: usize) -> Result<Module, PassFault> {
-        let n = module.functions.len();
-        if jobs <= 1 || n <= 1 {
+        if jobs <= 1 || module.functions.len() <= 1 {
             return self.try_optimize(module);
         }
-        let shards = crate::shards::WorkShards::new(n, jobs.min(n));
-        let slots: Vec<Mutex<Option<Result<Function, PassFault>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..jobs.min(n) {
-                let (shards, slots) = (&shards, &slots);
-                s.spawn(move || {
-                    while let Some(i) = shards.pop(w) {
-                        let src = &module.functions[i];
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut f = src.clone();
-                            self.try_optimize_function(&mut f).map(|()| f)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(PassFault::panic("pipeline", &src.name, panic_payload(payload)))
-                        });
-                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
+        let functions = WorkShards::map_ordered(module.functions.len(), jobs, || (), |(), i| {
+            let src = &module.functions[i];
+            contain_panic(&src.name, || {
+                let mut f = src.clone();
+                self.try_optimize_function(&mut f).map(|()| f)
+            })
         });
-        let mut out = module.clone();
-        out.functions.clear();
-        for slot in slots {
-            let r = slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-            out.functions.push(r?);
-        }
-        Ok(out)
+        Ok(Module { functions: functions.into_iter().collect::<Result<_, _>>()?, ..*module })
     }
 
     /// Optimize a copy of the module with up to `jobs` worker threads.
@@ -244,7 +223,7 @@ impl Optimizer {
 }
 
 /// Render a caught panic payload as a string (best effort).
-pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -254,75 +233,47 @@ pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one pass over `f`, verifying the result in debug builds.
-///
-/// This is the shared primitive under every pipeline mode: the plain
-/// pipeline panics on the returned fault, `verify_each` substitutes the
-/// lint suite, and the `epre-harness` sandbox adds `catch_unwind` and
-/// rollback around it. Returns the pass's change report.
-///
-/// # Errors
-/// A [`PassFault`] with [`FaultKind::Verify`](crate::fault::FaultKind) when
-/// the debug-build verifier rejects the pass's output.
-pub fn run_pass_checked(pass: &dyn Pass, f: &mut Function) -> Result<bool, PassFault> {
-    let mut cache = AnalysisCache::new();
-    run_pass_cached(pass, f, &mut cache)
+/// Run one function's pipeline on a parallel worker, turning a panic
+/// outside the per-pass checks into a [`PassFault`] with kind `panic`, so
+/// one bad function cannot take down its siblings.
+pub(crate) fn contain_panic<T>(
+    function: &str,
+    body: impl FnOnce() -> Result<T, PassFault>,
+) -> Result<T, PassFault> {
+    catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(PassFault::panic("pipeline", function, panic_payload(payload))))
 }
 
-/// Run one pass over `f` through a shared [`AnalysisCache`], verifying
-/// both the IR and the cache in debug builds.
+/// Run one pass over `f` in the context `cx` — the one runner every
+/// pipeline mode goes through.
 ///
-/// This is [`run_pass_checked`] with analysis memoization: the pass runs
-/// via [`Pass::run_cached`], which invalidates exactly the analyses the
-/// pass does not declare preserved. Debug builds then hold the pass to
-/// its word — [`AnalysisCache::validate`] recomputes every cached
-/// analysis from scratch and compares; a stale entry means the pass lied
-/// about [`Pass::preserves`] (or failed to report a change) and becomes a
-/// [`PassFault`] with kind `verify` naming that pass. Release builds skip
-/// both checks and keep only the memoization.
-///
-/// # Errors
-/// A [`PassFault`] with [`FaultKind::Verify`](crate::fault::FaultKind)
-/// when the debug-build verifier rejects the pass's output, or when the
-/// pass left a stale analysis in the cache.
-pub fn run_pass_cached(
-    pass: &dyn Pass,
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-) -> Result<bool, PassFault> {
-    run_pass_budgeted(pass, f, cache, &Budget::UNLIMITED)
-}
-
-/// Run one pass over `f` through a shared [`AnalysisCache`], held to a
-/// resource [`Budget`] — [`run_pass_cached`] plus the governance layer.
-///
-/// The pass runs via [`Pass::run_budgeted`], so fixed-point passes stop at
-/// their cooperative checkpoints when over budget. A budget trip leaves
+/// The pass runs via [`Pass::run`], so fixed-point passes stop at their
+/// cooperative checkpoints when over `cx.budget`. A budget trip leaves
 /// `f` mid-transform (possibly in SSA form) and is reported as a
-/// [`PassFault`] with kind `budget`; the debug-build IR and cache
-/// verification is skipped for that outcome, since the half-transformed
-/// state is not a claim about correctness. Callers needing all-or-nothing
-/// semantics (the `epre-harness` sandbox) run on a clone and roll back,
-/// exactly as they do for panics.
+/// [`PassFault`] with kind `budget`; the debug-build checks below are
+/// skipped for that outcome, since the half-transformed state is not a
+/// claim about correctness. Callers needing all-or-nothing semantics
+/// (the `epre-harness` sandbox) run on a clone and roll back, exactly as
+/// they do for panics.
+///
+/// Debug builds then hold the pass to its contract: the IR must verify,
+/// and [`AnalysisCache::validate`] recomputes every analysis left in
+/// `cx.cache` from scratch and compares — a stale entry means the pass
+/// failed to drop what its edits broke, and becomes a [`PassFault`] with
+/// kind `verify` naming that pass. Release builds skip both checks.
+/// Returns the pass's change report; `cx.counters` holds what it
+/// reported about its work.
 ///
 /// # Errors
 /// A [`PassFault`] with kind `budget` when the pass exhausted its budget,
-/// or kind `verify` as in [`run_pass_cached`].
-pub fn run_pass_budgeted(
-    pass: &dyn Pass,
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, PassFault> {
-    let changed = match pass.run_budgeted(f, cache, budget) {
-        Ok(changed) => changed,
-        Err(e) => return Err(PassFault::budget(pass.name(), &f.name, e)),
-    };
+/// or kind `verify` when a debug-build check failed.
+pub fn run_pass(pass: &dyn Pass, f: &mut Function, cx: &mut PassCx) -> Result<bool, PassFault> {
+    let changed = pass.run(f, cx).map_err(|e| PassFault::budget(pass.name(), &f.name, e))?;
     if cfg!(debug_assertions) {
         if let Err(e) = f.verify() {
             return Err(PassFault::verify(pass.name(), &f.name, e.to_string()));
         }
-        if let Err(e) = cache.validate(f) {
+        if let Err(e) = cx.cache.validate(f) {
             return Err(PassFault::verify(
                 pass.name(),
                 &f.name,
@@ -333,11 +284,29 @@ pub fn run_pass_budgeted(
     Ok(changed)
 }
 
+/// [`run_pass`] for callers that keep their own [`AnalysisCache`] and
+/// discard the pass's counters (external timing harnesses).
+///
+/// # Errors
+/// Exactly as [`run_pass`].
+pub fn run_pass_budgeted(
+    pass: &dyn Pass,
+    f: &mut Function,
+    cache: &mut AnalysisCache,
+    budget: &Budget,
+) -> Result<bool, PassFault> {
+    let mut cx = PassCx { cache: std::mem::take(cache), ..PassCx::new(*budget) };
+    let outcome = run_pass(pass, f, &mut cx);
+    *cache = cx.cache;
+    outcome
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use epre_frontend::{compile, NamingMode};
     use epre_interp::{Interpreter, Value};
+    use epre_passes::BudgetExceeded;
 
     const FOO: &str = "function foo(y, z)\n\
                        real y, z, s, x\n\
@@ -500,9 +469,9 @@ mod tests {
         assert_eq!(err.kind_label(), "panic");
     }
 
-    /// Cache soundness: a pass that rewires the CFG while claiming (via a
-    /// `false` change report) that every analysis is still valid must be
-    /// caught by the debug-build cache validation and blamed by name.
+    /// Cache soundness: a pass that rewires the CFG but leaves the cached
+    /// CFG in place must be caught by the debug-build cache validation
+    /// and blamed by name.
     #[cfg(debug_assertions)]
     #[test]
     fn lying_pass_is_caught_by_cache_validation() {
@@ -513,12 +482,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "liar"
             }
-            fn run(&self, f: &mut Function) -> bool {
+            fn run(&self, f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
                 // Rewire the entry to return directly: the IR still
                 // verifies (the old successor is merely unreachable), but
-                // any cached CFG is now stale.
+                // any cached CFG is now stale — and the pass keeps it.
                 f.blocks[0].term = Terminator::Return { value: None };
-                false // the lie: "nothing changed, keep every analysis"
+                Ok(false)
             }
         }
 
@@ -529,17 +498,16 @@ mod tests {
         b.ret(None);
         let mut f = b.finish();
 
-        let mut cache = AnalysisCache::new();
-        cache.cfg(&f); // warm the entry the lie will invalidate
-        let err = run_pass_cached(&Liar, &mut f, &mut cache)
-            .expect_err("stale cache must be detected");
+        let mut cx = PassCx::new(Budget::UNLIMITED);
+        cx.cache.cfg(&f); // warm the entry the lie will invalidate
+        let err = run_pass(&Liar, &mut f, &mut cx).expect_err("stale cache must be detected");
         assert_eq!(err.pass, "liar");
         assert_eq!(err.kind_label(), "verify");
         assert!(format!("{err}").contains("stale analysis cache"), "{err}");
     }
 
-    /// The honest version of the same rewrite reports its change, the
-    /// cache drops the stale entries, and the pipeline continues.
+    /// The honest version of the same rewrite drops the CFG it broke, and
+    /// the pipeline continues.
     #[test]
     fn honest_change_report_keeps_the_cache_consistent() {
         use epre_ir::Terminator;
@@ -549,9 +517,10 @@ mod tests {
             fn name(&self) -> &'static str {
                 "honest"
             }
-            fn run(&self, f: &mut Function) -> bool {
+            fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
                 f.blocks[0].term = Terminator::Return { value: None };
-                true
+                cx.cache.invalidate_cfg();
+                Ok(true)
             }
         }
 
@@ -562,11 +531,10 @@ mod tests {
         b.ret(None);
         let mut f = b.finish();
 
-        let mut cache = AnalysisCache::new();
-        cache.cfg(&f);
-        let changed = run_pass_cached(&Honest, &mut f, &mut cache)
-            .expect("an honest pass passes validation");
+        let mut cx = PassCx::new(Budget::UNLIMITED);
+        cx.cache.cfg(&f);
+        let changed = run_pass(&Honest, &mut f, &mut cx).expect("an honest pass passes validation");
         assert!(changed);
-        assert!(!cache.has_cfg(), "the change report must drop the cached CFG");
+        assert!(!cx.cache.has_cfg(), "the pass must drop the CFG it broke");
     }
 }

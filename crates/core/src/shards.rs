@@ -1,4 +1,5 @@
-//! Work-stealing index distribution for the parallel module drivers.
+//! Work-stealing index distribution, and the one ordered parallel map
+//! every module driver runs on ([`WorkShards::map_ordered`]).
 //!
 //! The first parallel drivers handed out function indices through a single
 //! `AtomicUsize::fetch_add` — fair, but every worker contends on one cache
@@ -10,10 +11,10 @@
 //! steals from the **back** of a sibling's shard — so thieves take the
 //! work farthest from where the owner is currently operating.
 //!
-//! Determinism of the drivers is unaffected: results land in per-function
-//! slots and are reassembled in module order, so the stealing schedule can
-//! never leak into the output. Every index in `0..items` is produced
-//! exactly once across all workers.
+//! Determinism of the drivers is unaffected: [`WorkShards::map_ordered`]
+//! lands results in per-index slots and returns them in index order, so
+//! the stealing schedule can never leak into the output. Every index in
+//! `0..items` is produced exactly once across all workers.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -50,6 +51,54 @@ impl WorkShards {
         }
         debug_assert_eq!(next, items);
         WorkShards { queues }
+    }
+
+    /// Map `item` over `0..items` on up to `jobs` scoped worker threads
+    /// and return the results in index order.
+    ///
+    /// Each worker calls `init` once, on its own thread, and threads the
+    /// state it returns through every item it takes (a driver builds its
+    /// pass list there, once per worker rather than once per function).
+    /// With `jobs <= 1`, or at most one item, everything runs inline on
+    /// the caller's thread with a single state. A panic in `item`
+    /// propagates to the caller once every worker has stopped; drivers
+    /// that contain panics catch them inside `item`.
+    ///
+    /// ```
+    /// use epre::WorkShards;
+    ///
+    /// let squares = WorkShards::map_ordered(6, 3, || (), |(), i| i * i);
+    /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25]);
+    /// ```
+    pub fn map_ordered<S, R: Send>(
+        items: usize,
+        jobs: usize,
+        init: impl Fn() -> S + Sync,
+        item: impl Fn(&mut S, usize) -> R + Sync,
+    ) -> Vec<R> {
+        let workers = jobs.min(items);
+        if workers <= 1 {
+            let mut state = init();
+            return (0..items).map(|i| item(&mut state, i)).collect();
+        }
+        let shards = WorkShards::new(items, workers);
+        let slots: Vec<Mutex<Option<R>>> = (0..items).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let (shards, slots, init, item) = (&shards, &slots, &init, &item);
+                s.spawn(move || {
+                    let mut state = init();
+                    while let Some(i) = shards.pop(w) {
+                        let r = item(&mut state, i);
+                        *slots[i].lock().expect("result slot poisoned") = Some(r);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("result slot poisoned").expect("worker filled slot"))
+            .collect()
     }
 
     /// Number of shards (== workers at construction).
@@ -120,6 +169,33 @@ mod tests {
         let one = WorkShards::new(3, 0);
         assert_eq!(one.workers(), 1);
         assert_eq!(one.pop(0), Some(0));
+    }
+
+    #[test]
+    fn map_ordered_returns_index_order_with_per_worker_state() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        for jobs in [0, 1, 2, 4, 64] {
+            let inits = AtomicUsize::new(0);
+            let out = WorkShards::map_ordered(
+                50,
+                jobs,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| i * 10,
+            );
+            assert_eq!(out, (0..50).map(|i| i * 10).collect::<Vec<_>>(), "jobs {jobs}");
+            // One state per worker: inline below two jobs, never more
+            // states than items.
+            assert_eq!(inits.into_inner(), jobs.clamp(1, 50), "jobs {jobs}");
+        }
+        assert!(WorkShards::map_ordered(0, 4, || (), |(), i| i).is_empty());
+    }
+
+    #[test]
+    fn map_ordered_inline_path_runs_on_the_caller_thread() {
+        let caller = std::thread::current().id();
+        let ids = WorkShards::map_ordered(3, 1, || (), |(), _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

@@ -83,23 +83,23 @@ pub fn try_run_staged(f: &Function, distribute: bool) -> Result<StagedOutput, Pa
     debug_verify_stage(&ssa_view, Stage::PrunedSsa)?;
     snapshots.push((Stage::PrunedSsa, Stage::ALL[1].1, ssa_view));
 
-    Reassociate { distribute }.run(&mut cur);
+    Reassociate { distribute }.apply(&mut cur);
     debug_verify_stage(&cur, Stage::Reassociated)?;
     snapshots.push((Stage::Reassociated, Stage::ALL[2].1, cur.clone()));
 
-    Gvn.run(&mut cur);
+    Gvn.apply(&mut cur);
     debug_verify_stage(&cur, Stage::ValueNumbered)?;
     snapshots.push((Stage::ValueNumbered, Stage::ALL[3].1, cur.clone()));
 
-    Pre.run(&mut cur);
+    Pre.apply(&mut cur);
     debug_verify_stage(&cur, Stage::AfterPre)?;
     snapshots.push((Stage::AfterPre, Stage::ALL[4].1, cur.clone()));
 
-    ConstProp.run(&mut cur);
-    Peephole.run(&mut cur);
-    Dce.run(&mut cur);
-    Coalesce.run(&mut cur);
-    Clean.run(&mut cur);
+    ConstProp.apply(&mut cur);
+    Peephole.apply(&mut cur);
+    Dce.apply(&mut cur);
+    Coalesce.apply(&mut cur);
+    Clean.apply(&mut cur);
     debug_verify_stage(&cur, Stage::Final)?;
     snapshots.push((Stage::Final, Stage::ALL[5].1, cur));
 

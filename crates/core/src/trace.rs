@@ -1,17 +1,19 @@
 //! The traced pipeline: structured pass spans, transformation
 //! provenance, and deterministic parallel trace merging.
 //!
-//! This is the same pipeline as [`crate::pipeline`], with a
-//! [`FunctionTrace`] threaded through it. Every pass invocation emits
+//! This is the same pipeline as [`crate::pipeline`] — every pass runs
+//! through the same [`run_pass`] — with a [`FunctionTrace`] threaded
+//! through it. Every pass invocation emits
 //!
 //! * a `span` event carrying the pass's change report, the static
 //!   operation counts around it, and the counters the pass reported
-//!   about its own work (via [`Pass::run_instrumented`]), and
+//!   about its own work (into [`PassCx::counters`]), and
 //! * a `provenance` event carrying the opcode-keyed eliminated/inserted
 //!   delta ([`OpcodeDelta`]) that [`epre_telemetry::ledgers_from_trace`]
 //!   reassembles into per-function accounts for `epre explain`.
 //!
-//! A final per-function `cache` event reports the [`AnalysisCache`]
+//! A final per-function `cache` event reports the
+//! [`AnalysisCache`](epre_analysis::AnalysisCache)
 //! hit/miss totals.
 //!
 //! ## Determinism
@@ -24,17 +26,15 @@
 //! `--timings` path) and is never exported.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Inst, Module, Terminator};
-use epre_passes::{Budget, Pass, PassCounters};
+use epre_passes::{Pass, PassCx};
 use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace, Tracer, Value};
 
 use crate::fault::PassFault;
-use crate::pipeline::{panic_payload, Optimizer};
+use crate::pipeline::{contain_panic, run_pass, Optimizer};
+use crate::shards::WorkShards;
 
 /// Opcode histogram of a function's static operations, keyed by the
 /// textual mnemonic (terminators count as `jump`/`cbr`/`ret`). The total
@@ -65,43 +65,22 @@ pub fn opcode_histogram(f: &Function) -> BTreeMap<String, u64> {
     h
 }
 
-/// Run one pass over `f` with tracing: [`crate::run_pass_budgeted`] plus
-/// a `span` and a `provenance` event recorded into `trace`. When `wall`
-/// is set the span also carries measured wall-clock nanoseconds (never
-/// exported; the `--timings` aggregation reads them back).
-///
-/// # Errors
-/// A [`PassFault`] with kind `budget` or `verify`, exactly as
-/// [`crate::run_pass_budgeted`].
-pub fn run_pass_traced(
+/// Run one pass over `f` with tracing: [`run_pass`] plus a `span` and a
+/// `provenance` event recorded into `trace`. When `wall` is set the span
+/// also carries measured wall-clock nanoseconds (never exported; the
+/// `--timings` aggregation reads them back).
+fn run_pass_traced(
     pass: &dyn Pass,
     f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
+    cx: &mut PassCx,
     trace: &mut FunctionTrace,
     wall: bool,
-) -> Result<bool, PassFault> {
+) -> Result<(), PassFault> {
     let before = opcode_histogram(f);
     let ops_before = f.static_op_count() as u64;
-    let mut counters = PassCounters::new();
     let t0 = wall.then(Instant::now);
-    let changed = match pass.run_instrumented(f, cache, budget, &mut counters) {
-        Ok(changed) => changed,
-        Err(e) => return Err(PassFault::budget(pass.name(), &f.name, e)),
-    };
+    let changed = run_pass(pass, f, cx)?;
     let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    if cfg!(debug_assertions) {
-        if let Err(e) = f.verify() {
-            return Err(PassFault::verify(pass.name(), &f.name, e.to_string()));
-        }
-        if let Err(e) = cache.validate(f) {
-            return Err(PassFault::verify(
-                pass.name(),
-                &f.name,
-                format!("stale analysis cache after pass: {e}"),
-            ));
-        }
-    }
     let after = opcode_histogram(f);
     let ops_after = f.static_op_count() as u64;
     let delta = OpcodeDelta::between(&before, &after);
@@ -111,8 +90,8 @@ pub fn run_pass_traced(
         ("ops_before".to_string(), Value::U64(ops_before)),
         ("ops_after".to_string(), Value::U64(ops_after)),
     ];
-    if !counters.is_empty() {
-        fields.push(("counters".to_string(), counters.to_map()));
+    if !cx.counters.is_empty() {
+        fields.push(("counters".to_string(), cx.counters.to_map()));
     }
     trace.span(pass.name(), 1 + ops_before, wall_ns, fields);
     trace.instant(
@@ -125,12 +104,12 @@ pub fn run_pass_traced(
             ("inserted".to_string(), Value::Map(delta.inserted)),
         ],
     );
-    Ok(changed)
+    Ok(())
 }
 
 /// Run the optimizer's full pass sequence over one function, recording
 /// the lane's trace. The closing `cache` event carries the function's
-/// [`AnalysisCache`] hit/miss totals.
+/// analysis-cache hit/miss totals.
 ///
 /// # Errors
 /// The first [`PassFault`] encountered, if any. The partial trace is
@@ -143,11 +122,12 @@ pub fn optimize_function_traced(
     wall: bool,
 ) -> Result<FunctionTrace, PassFault> {
     let mut trace = FunctionTrace::new(&f.name, lane);
-    let mut cache = AnalysisCache::new();
+    let mut cx = PassCx::new(opt.budget());
     for pass in opt.passes() {
-        run_pass_traced(pass.as_ref(), f, &mut cache, &opt.budget(), &mut trace, wall)?;
+        run_pass_traced(pass.as_ref(), f, &mut cx, &mut trace, wall)?;
+        cx.counters.clear();
     }
-    let stats = cache.stats();
+    let stats = cx.cache.stats();
     trace.instant(
         "cache",
         "pipeline",
@@ -180,46 +160,21 @@ impl Optimizer {
         wall: bool,
     ) -> Result<(Module, Trace), PassFault> {
         let n = module.functions.len();
-        if wall || jobs <= 1 || n <= 1 {
-            let mut out = module.clone();
-            let mut lanes = Vec::with_capacity(n);
-            for (i, f) in out.functions.iter_mut().enumerate() {
-                lanes.push(optimize_function_traced(self, f, i as u32, wall)?);
-            }
-            return Ok((out, Trace::from_lanes(lanes)));
-        }
-        let shards = crate::shards::WorkShards::new(n, jobs.min(n));
-        type Slot = Mutex<Option<Result<(Function, FunctionTrace), PassFault>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..jobs.min(n) {
-                let (shards, slots) = (&shards, &slots);
-                s.spawn(move || {
-                    while let Some(i) = shards.pop(w) {
-                        let src = &module.functions[i];
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut f = src.clone();
-                            optimize_function_traced(self, &mut f, i as u32, false)
-                                .map(|trace| (f, trace))
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(PassFault::panic("pipeline", &src.name, panic_payload(payload)))
-                        });
-                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        let mut out = module.clone();
-        out.functions.clear();
-        let mut lanes = Vec::with_capacity(n);
-        for slot in slots {
-            let r = slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-            let (f, trace) = r?;
-            out.functions.push(f);
-            lanes.push(trace);
-        }
-        Ok((out, Trace::from_lanes(lanes)))
+        let traced = |i: usize| {
+            let mut f = module.functions[i].clone();
+            optimize_function_traced(self, &mut f, i as u32, wall).map(|trace| (f, trace))
+        };
+        let done: Vec<(Function, FunctionTrace)> = if wall || jobs <= 1 || n <= 1 {
+            (0..n).map(traced).collect::<Result<_, _>>()?
+        } else {
+            WorkShards::map_ordered(n, jobs, || (), |(), i| {
+                contain_panic(&module.functions[i].name, || traced(i))
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?
+        };
+        let (functions, lanes) = done.into_iter().unzip();
+        Ok((Module { functions, ..*module }, Trace::from_lanes(lanes)))
     }
 
     /// Optimize a copy of the module with tracing, panicking on faults.

@@ -77,7 +77,7 @@ pub fn run_passes_verified(
         lint_function(f, opts).diagnostics.iter().map(Diagnostic::fingerprint).collect();
     let mut blames = Vec::new();
     for pass in passes {
-        pass.run(f);
+        pass.apply(f);
         let report = lint_function(f, opts);
         let new: Vec<Diagnostic> = report
             .diagnostics
@@ -133,6 +133,7 @@ mod tests {
     use epre_frontend::{compile, NamingMode};
     use epre_ir::{Inst, Ty};
     use epre_passes::passes::{ConstProp, Dce};
+    use epre_passes::{BudgetExceeded, PassCx};
 
     const FOO: &str = "function foo(y, z)\n\
                        real y, z, s, x\n\
@@ -166,11 +167,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "use-ghost"
         }
-        fn run(&self, f: &mut Function) -> bool {
+        fn run(&self, f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
             let dst = f.new_reg(Ty::Int);
             let ghost = f.new_reg(Ty::Int);
             f.blocks[0].insts.push(Inst::Copy { dst, src: ghost });
-            true
+            Ok(true)
         }
     }
 
@@ -195,8 +196,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "nop"
         }
-        fn run(&self, _f: &mut Function) -> bool {
-            false
+        fn run(&self, _f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            Ok(false)
         }
     }
 

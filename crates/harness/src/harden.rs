@@ -24,12 +24,11 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use epre::fault::PassFault;
-use epre::{Budget, OptLevel, Optimizer};
+use epre::{Budget, OptLevel, Optimizer, WorkShards};
 use epre_ir::{parse_function, Function, Module};
 use epre_lint::LintOptions;
 
@@ -371,63 +370,33 @@ impl Harness {
         // Optimize the fresh functions, journaling each the moment its
         // pipeline finishes. Workers share the writer; record() is one
         // locked write+flush, so a kill tears at most the final record.
-        type FreshSlot = Mutex<Option<Result<(Function, SandboxReport), PassFault>>>;
-        let fresh_slots: Vec<FreshSlot> = fresh_idx.iter().map(|_| Mutex::new(None)).collect();
-        let io_errors: Mutex<Vec<io::Error>> = Mutex::new(Vec::new());
-        let next = AtomicUsize::new(0);
-        let this = *self;
         let opts = LintOptions::invariants_only();
-        std::thread::scope(|s| {
-            for _ in 0..jobs.max(1).min(fresh_idx.len().max(1)) {
-                s.spawn(|| {
-                    let passes = Optimizer::new(this.level).passes();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= fresh_idx.len() {
-                            break;
-                        }
-                        let src = &module.functions[fresh_idx[k]];
-                        let mut f = src.clone();
-                        let outcome = run_passes_governed(
-                            &mut f,
-                            &passes,
-                            this.policy,
-                            &opts,
-                            &this.budget,
-                            None,
-                        )
-                        .map(|rep| {
-                            let in_fp = fingerprint64(&format!("{src}"));
-                            if let Err(e) = writer.record(&src.name, in_fp, &format!("{f}")) {
-                                io_errors.lock().expect("io-error list poisoned").push(e);
-                            }
-                            (f, rep)
-                        });
-                        *fresh_slots[k].lock().expect("fresh slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        if let Some(e) = io_errors.into_inner().expect("io-error list poisoned").into_iter().next()
-        {
-            return Err(JournalError::Io(e));
-        }
-        for (k, slot) in fresh_slots.into_iter().enumerate() {
-            let outcome =
-                slot.into_inner().expect("fresh slot poisoned").expect("worker filled slot");
+        let fresh = WorkShards::map_ordered(
+            fresh_idx.len(),
+            jobs,
+            || Optimizer::new(self.level).passes(),
+            |passes, k| -> Result<_, JournalError> {
+                let src = &module.functions[fresh_idx[k]];
+                let mut f = src.clone();
+                let rep =
+                    run_passes_governed(&mut f, passes, self.policy, &opts, &self.budget, None)?;
+                writer.record(&src.name, fingerprint64(&format!("{src}")), &format!("{f}"))?;
+                Ok((f, rep))
+            },
+        );
+        for (k, outcome) in fresh.into_iter().enumerate() {
             slots[fresh_idx[k]] = Some(outcome?);
         }
 
-        let mut out = module.clone();
-        out.functions.clear();
+        let mut functions = Vec::with_capacity(n);
         let mut report = SandboxReport::default();
         for slot in slots {
             let (f, rep) = slot.expect("every slot filled");
-            out.functions.push(f);
+            functions.push(f);
             report.merge(rep);
         }
         Ok(JournaledOutcome {
-            output: self.oracle_stage(module, out, report),
+            output: self.oracle_stage(module, Module { functions, ..*module }, report),
             reused,
             fresh: fresh_idx.len(),
             resumed_torn,

@@ -13,13 +13,11 @@
 //! IR, they splice a *misbehaving pass* into the pipeline — one that
 //! never reaches its fixed point, and one whose output grows without
 //! bound. Neither panics and neither emits invalid ILOC, so the panic and
-//! lint layers are blind to them; only the resource [`Budget`] can stop
+//! lint layers are blind to them; only the resource [`Budget`](epre::Budget) can stop
 //! them, which is exactly what the campaign proves.
 
-use epre::Budget;
-use epre_analysis::AnalysisCache;
 use epre_ir::{BlockId, Const, Function, Inst, Module, Terminator, Ty};
-use epre_passes::{BudgetExceeded, Pass};
+use epre_passes::{BudgetExceeded, Pass, PassCx};
 
 use crate::rng::SplitMix64;
 
@@ -277,23 +275,14 @@ impl Pass for NonTerminatingPass {
         "nonterminating"
     }
 
-    fn run(&self, _f: &mut Function) -> bool {
-        for spin in 0..NONTERMINATING_SELF_CAP {
-            std::hint::black_box(spin);
+    fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+        if cx.budget.max_iters.is_none() && cx.budget.deadline.is_none() {
+            for spin in 0..NONTERMINATING_SELF_CAP {
+                std::hint::black_box(spin);
+            }
+            return Ok(false);
         }
-        false
-    }
-
-    fn run_budgeted(
-        &self,
-        f: &mut Function,
-        _cache: &mut AnalysisCache,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        if budget.max_iters.is_none() && budget.deadline.is_none() {
-            return Ok(self.run(f));
-        }
-        let mut meter = budget.start(f);
+        let mut meter = cx.budget.start(f);
         loop {
             meter.tick(f)?;
         }
@@ -327,29 +316,17 @@ impl Pass for QuadraticGrowthPass {
         "quadratic-growth"
     }
 
-    fn run(&self, f: &mut Function) -> bool {
-        if f.blocks.is_empty() {
-            return false;
-        }
-        while f.static_op_count() < GROWTH_SELF_CAP_OPS {
-            Self::grow_round(f);
-        }
-        true
-    }
-
-    fn run_budgeted(
-        &self,
-        f: &mut Function,
-        _cache: &mut AnalysisCache,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
+    fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
         if f.blocks.is_empty() {
             return Ok(false);
         }
-        if !budget.is_limited() {
-            return Ok(self.run(f));
+        if !cx.budget.is_limited() {
+            while f.static_op_count() < GROWTH_SELF_CAP_OPS {
+                Self::grow_round(f);
+            }
+            return Ok(true);
         }
-        let mut meter = budget.start(f);
+        let mut meter = cx.budget.start(f);
         loop {
             meter.tick(f)?;
             Self::grow_round(f);
@@ -365,7 +342,7 @@ impl Pass for QuadraticGrowthPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epre::BudgetKind;
+    use epre::{Budget, BudgetKind};
     use epre_frontend::{compile, NamingMode};
 
     const SRC: &str = "function foo(y, z)\n\
@@ -486,7 +463,7 @@ mod tests {
         for model in PassFaultModel::ALL {
             let mut f = m.functions[0].clone();
             let pass = model.build();
-            pass.run(&mut f); // must terminate on its own
+            pass.apply(&mut f); // must terminate on its own
             assert_eq!(pass.name(), model.pass_name());
         }
     }

@@ -21,8 +21,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
 use epre::fault::PassFault;
-use epre::{Budget, OptLevel, Optimizer};
-use epre_analysis::AnalysisCache;
+use epre::{panic_payload, Budget, OptLevel, Optimizer, PassCx, WorkShards};
 use epre_ir::{Function, Module};
 use epre_lint::{lint_function, Diagnostic, LintOptions, Report, Severity};
 use epre_passes::Pass;
@@ -110,15 +109,7 @@ pub fn catch_quiet<R>(body: impl FnOnce() -> R) -> Result<R, String> {
     QUIET_PANICS.with(|q| q.set(true));
     let result = panic::catch_unwind(AssertUnwindSafe(body));
     QUIET_PANICS.with(|q| q.set(false));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+    result.map_err(panic_payload)
 }
 
 fn fingerprints(report: &Report) -> HashSet<String> {
@@ -129,7 +120,7 @@ fn fingerprints(report: &Report) -> HashSet<String> {
 /// by `budget`.
 ///
 /// Every pass runs on a clone of `f` under `catch_unwind` via
-/// [`Pass::run_budgeted`]; the clone is then re-linted and diffed (by
+/// [`Pass::run`] in a fresh [`PassCx`]; the clone is then re-linted and diffed (by
 /// diagnostic fingerprint) against the pre-pass report. Only when the
 /// pass neither panicked, nor exceeded the budget, nor introduced a new
 /// error-severity finding is the clone committed back to `f` — otherwise
@@ -167,8 +158,7 @@ pub fn run_passes_governed(
             let base = &*f;
             let run = catch_quiet(|| {
                 let mut candidate = base.clone();
-                let mut cache = AnalysisCache::new();
-                match pass.run_budgeted(&mut candidate, &mut cache, &attempt_budget) {
+                match pass.run(&mut candidate, &mut PassCx::new(attempt_budget)) {
                     Err(exceeded) => Err(exceeded),
                     Ok(_changed) => {
                         let report = lint_function(&candidate, opts);
@@ -222,27 +212,14 @@ pub fn run_passes_governed(
     Ok(out)
 }
 
-/// [`run_passes_governed`] with the harness-default [`Budget::governed`]
-/// and no circuit breaker — the historical sandbox entry point.
-///
-/// # Errors
-/// Under [`FaultPolicy::FailFast`], the first fault.
-pub fn run_passes_sandboxed(
-    f: &mut Function,
-    passes: &[Box<dyn Pass>],
-    policy: FaultPolicy,
-    opts: &LintOptions,
-) -> Result<SandboxReport, PassFault> {
-    run_passes_governed(f, passes, policy, opts, &Budget::governed(), None)
-}
-
 /// Run a whole module through governed sandboxed pipelines, one pass list
 /// per function (fresh-built via `passes_for`, so worker threads never
 /// share non-`Sync` pass objects), with a module-wide per-pass
 /// [`CircuitBreaker`].
 ///
 /// With `jobs > 1` the functions are optimized speculatively in parallel
-/// *as if every circuit were closed*, then reconciled serially in module
+/// ([`WorkShards::map_ordered`], one pass list per worker) *as if every
+/// circuit were closed*, then reconciled serially in module
 /// order: a function whose speculative run either started after a circuit
 /// opened or would itself trip one is redone serially under the true
 /// breaker state. Healthy modules take zero redos; the output — module,
@@ -261,16 +238,12 @@ pub fn run_module_governed(
     breaker_threshold: usize,
     jobs: usize,
 ) -> Result<(Module, SandboxReport), PassFault> {
-    use std::sync::Mutex;
-
-    use epre::WorkShards;
-
     let n = module.functions.len();
     let mut breaker = CircuitBreaker::new(breaker_threshold);
-    let mut out = module.clone();
     let mut report = SandboxReport::default();
 
     if jobs <= 1 || n <= 1 {
+        let mut out = module.clone();
         let passes = passes_for();
         for f in &mut out.functions {
             report.merge(run_passes_governed(f, &passes, policy, opts, budget, Some(&mut breaker))?);
@@ -279,31 +252,15 @@ pub fn run_module_governed(
         return Ok((out, report));
     }
 
-    let shards = WorkShards::new(n, jobs.min(n));
-    type Slot = Mutex<Option<Result<(Function, SandboxReport), PassFault>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..jobs.min(n) {
-            let (shards, slots) = (&shards, &slots);
-            s.spawn(move || {
-                let passes = passes_for();
-                while let Some(i) = shards.pop(w) {
-                    let mut f = module.functions[i].clone();
-                    let outcome =
-                        run_passes_governed(&mut f, &passes, policy, opts, budget, None)
-                            .map(|rep| (f, rep));
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                }
-            });
-        }
+    let speculative = WorkShards::map_ordered(n, jobs, passes_for, |passes, i| {
+        let mut f = module.functions[i].clone();
+        run_passes_governed(&mut f, passes, policy, opts, budget, None).map(|rep| (f, rep))
     });
 
-    out.functions.clear();
+    let mut functions = Vec::with_capacity(n);
     let mut serial_passes: Option<Vec<Box<dyn Pass>>> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let speculative =
-            slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-        let (f, rep) = speculative?;
+    for (i, outcome) in speculative.into_iter().enumerate() {
+        let (f, rep) = outcome?;
         // The worker assumed every circuit was closed. That holds for this
         // function iff nothing was open at its entry and replaying its own
         // faults trips nothing; otherwise redo it under the true state.
@@ -312,19 +269,19 @@ pub fn run_module_governed(
             && !rep.faults.iter().any(|ft| probe.record(&ft.pass, &ft.function));
         if speculation_holds {
             breaker = probe;
-            out.functions.push(f);
+            functions.push(f);
             report.merge(rep);
         } else {
             let passes = serial_passes.get_or_insert_with(passes_for);
             let mut f = module.functions[i].clone();
             let rep =
                 run_passes_governed(&mut f, passes, policy, opts, budget, Some(&mut breaker))?;
-            out.functions.push(f);
+            functions.push(f);
             report.merge(rep);
         }
     }
     report.quarantined = breaker.quarantined().to_vec();
-    Ok((out, report))
+    Ok((Module { functions, ..*module }, report))
 }
 
 /// An [`Optimizer`] wrapper whose every pass invocation is sandboxed and
@@ -401,7 +358,7 @@ impl SandboxedOptimizer {
 
     /// [`SandboxedOptimizer::optimize`] with up to `jobs` worker threads.
     ///
-    /// Functions are distributed over a [`std::thread::scope`] pool and
+    /// Functions are distributed over [`WorkShards::map_ordered`] and
     /// reconciled in module order (see [`run_module_governed`]), so the
     /// output module — and, because faults are collected per function
     /// before merging, the report's fault order and the breaker's trip
@@ -439,6 +396,22 @@ mod tests {
     use epre_passes::passes::{ConstProp, Dce};
     use epre_passes::BudgetExceeded;
 
+    /// The sandbox under the harness-default budget, with no breaker.
+    fn governed(
+        f: &mut Function,
+        passes: &[Box<dyn Pass>],
+        policy: FaultPolicy,
+    ) -> Result<SandboxReport, PassFault> {
+        run_passes_governed(
+            f,
+            passes,
+            policy,
+            &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
+        )
+    }
+
     fn sample() -> Function {
         let mut b = FunctionBuilder::new("s", Some(Ty::Int));
         let x = b.param(Ty::Int);
@@ -462,7 +435,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "bomb"
         }
-        fn run(&self, _f: &mut Function) -> bool {
+        fn run(&self, _f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
             panic!("deliberate detonation");
         }
     }
@@ -473,11 +446,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "use-ghost"
         }
-        fn run(&self, f: &mut Function) -> bool {
+        fn run(&self, f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
             let dst = f.new_reg(Ty::Int);
             let ghost = f.new_reg(Ty::Int);
             f.blocks[0].insts.push(Inst::Copy { dst, src: ghost });
-            true
+            Ok(true)
         }
     }
 
@@ -489,16 +462,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "spinner"
         }
-        fn run(&self, _f: &mut Function) -> bool {
-            false
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            _cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            let mut meter = budget.start(f);
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            let mut meter = cx.budget.start(f);
             for _ in 0..self.need {
                 meter.tick(f)?;
             }
@@ -511,12 +476,7 @@ mod tests {
         let mut f = sample();
         let before = f.clone();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Bomb), Box::new(ConstProp)];
-        let rep = run_passes_sandboxed(
-            &mut f,
-            &passes,
-            FaultPolicy::BestEffort,
-            &LintOptions::invariants_only(),
-        )
+        let rep = governed(&mut f, &passes, FaultPolicy::BestEffort)
         .unwrap();
         assert_eq!(rep.faults.len(), 1);
         assert_eq!(rep.faults[0].pass, "bomb");
@@ -531,12 +491,7 @@ mod tests {
         let mut f = sample();
         let before = f.clone();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(UseGhost)];
-        let rep = run_passes_sandboxed(
-            &mut f,
-            &passes,
-            FaultPolicy::BestEffort,
-            &LintOptions::invariants_only(),
-        )
+        let rep = governed(&mut f, &passes, FaultPolicy::BestEffort)
         .unwrap();
         assert_eq!(rep.faults.len(), 1);
         assert!(matches!(&rep.faults[0].kind, FaultKind::Lint(errs) if !errs.is_empty()));
@@ -591,12 +546,7 @@ mod tests {
     fn fail_fast_surfaces_the_fault() {
         let mut f = sample();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Dce), Box::new(Bomb)];
-        let e = run_passes_sandboxed(
-            &mut f,
-            &passes,
-            FaultPolicy::FailFast,
-            &LintOptions::invariants_only(),
-        )
+        let e = governed(&mut f, &passes, FaultPolicy::FailFast)
         .unwrap_err();
         assert_eq!(e.pass, "bomb");
     }
@@ -605,12 +555,7 @@ mod tests {
     fn retry_then_skip_counts_the_retry() {
         let mut f = sample();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Bomb)];
-        let rep = run_passes_sandboxed(
-            &mut f,
-            &passes,
-            FaultPolicy::RetryThenSkip,
-            &LintOptions::invariants_only(),
-        )
+        let rep = governed(&mut f, &passes, FaultPolicy::RetryThenSkip)
         .unwrap();
         assert_eq!(rep.retries, 1);
         assert_eq!(rep.faults.len(), 2, "one fault per attempt");
@@ -631,17 +576,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nop"
             }
-            fn run(&self, _f: &mut Function) -> bool {
-                false
+            fn run(&self, _f: &mut Function, _cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+                Ok(false)
             }
         }
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Nop)];
-        let rep = run_passes_sandboxed(
-            &mut f,
-            &passes,
-            FaultPolicy::BestEffort,
-            &LintOptions::invariants_only(),
-        )
+        let rep = governed(&mut f, &passes, FaultPolicy::BestEffort)
         .unwrap();
         assert!(rep.faults.is_empty());
     }

@@ -15,86 +15,31 @@
 use epre_analysis::AnalysisCache;
 use epre_ir::{Block, BlockId, Function, Terminator};
 
-use crate::budget::{Budget, BudgetExceeded};
-use epre_telemetry::PassCounters;
-
-/// What one clean invocation did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CleanStats {
-    /// Tidying rounds that changed the function.
-    pub rounds: u64,
-    /// Net basic blocks removed (clean only ever shrinks the block list).
-    pub blocks_removed: u64,
-}
+use crate::{BudgetExceeded, PassCx};
 
 /// Run the clean pass to a fixed point. Returns true if anything changed.
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] against a caller-owned [`AnalysisCache`]. One cache serves the
-/// whole fixed point: a quiescing round (the common case — the last round,
-/// and for already-clean functions the only one) builds the CFG once and
-/// the sub-passes that follow reuse it — and leave it for the pipeline.
-/// Each structural edit invalidates precisely what it breaks, so the
-/// cache is consistent on return.
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
+///
+/// One cache serves the whole fixed point: a quiescing round (the common
+/// case — the last round, and for already-clean functions the only one)
+/// builds the CFG once and the sub-passes that follow reuse it — and
+/// leave it for the pipeline. Each structural edit invalidates precisely
+/// what it breaks, so the cache is consistent on return. One cooperative
 /// checkpoint per tidying round (each round applies all four
 /// transformations once; a round that changes nothing ends the fixed
-/// point).
+/// point); reports the changing `rounds` and the net `blocks_removed`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round starts over budget; edits already made
 /// stay made (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget).map(|s| s.rounds > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("rounds", stats.rounds);
-    counters.add("blocks_removed", stats.blocks_removed);
-    Ok(stats.rounds > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`CleanStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<CleanStats, BudgetExceeded> {
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
     debug_assert!(
         f.blocks.iter().all(|b| b.phi_count() == 0),
         "clean expects φ-free code"
     );
-    let mut meter = budget.start(f);
+    let cache = &mut cx.cache;
+    let mut meter = cx.budget.start(f);
     let blocks_at_entry = f.blocks.len() as u64;
-    let mut stats = CleanStats::default();
+    let mut rounds = 0;
     loop {
         meter.tick(f)?;
         let mut changed = false;
@@ -105,10 +50,11 @@ pub fn run_budgeted_stats(
         if !changed {
             break;
         }
-        stats.rounds += 1;
+        rounds += 1;
     }
-    stats.blocks_removed = blocks_at_entry.saturating_sub(f.blocks.len() as u64);
-    Ok(stats)
+    cx.counters.add("rounds", rounds);
+    cx.counters.add("blocks_removed", blocks_at_entry.saturating_sub(f.blocks.len() as u64));
+    Ok(rounds > 0)
 }
 
 /// `cbr c -> x, x` becomes `jump x`.
@@ -246,7 +192,12 @@ impl RetargetMap for Terminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::{Const, FunctionBuilder, Inst, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Clean.apply(f)
+    }
 
     #[test]
     fn removes_unreachable_blocks() {

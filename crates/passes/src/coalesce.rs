@@ -33,7 +33,7 @@
 //!   fresh, exact graph. A batch that merges nothing is a fixed point
 //!   (unions only ever *add* conservative edges, so a rescan of the same
 //!   graph cannot find new candidates) and terminates the pass;
-//! * cooperative [`Budget`] checkpoints fire once per merged **batch**,
+//! * cooperative [`Budget`](crate::Budget) checkpoints fire once per merged **batch**,
 //!   not per single-copy round — the unit of progress is now "one scan
 //!   plus one rename sweep";
 //! * the graph is **candidate-restricted**: only registers appearing as an
@@ -50,91 +50,43 @@
 use epre_analysis::{AnalysisCache, BitSet, Liveness};
 use epre_ir::{Function, Inst, Reg};
 
-use crate::budget::{Budget, BudgetExceeded};
-use epre_telemetry::PassCounters;
+use crate::{BudgetExceeded, PassCx};
 
-/// What one coalescing invocation did.
+/// What one coalescing invocation did, reported as its counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoalesceStats {
+struct CoalesceStats {
     /// Trivial `d <- d` self-copies dropped up front.
-    pub self_copies_removed: u64,
+    self_copies_removed: u64,
     /// Non-trivial copies merged away (possibly many per round).
-    pub copies_coalesced: u64,
+    copies_coalesced: u64,
     /// Interference scans performed, including the final empty one that
     /// proves the fixed point. Always ≥ 1 per invocation.
-    pub rounds: u64,
+    rounds: u64,
     /// Rounds whose liveness had to be computed fresh (the rest were
     /// served from the [`AnalysisCache`]).
-    pub liveness_builds: u64,
+    liveness_builds: u64,
 }
 
 /// Run coalescing rounds until no copy can be merged. Returns true if any
 /// copy was removed.
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] against a caller-owned [`AnalysisCache`]. Coalescing renames
-/// registers and deletes copies but never touches block structure: every
-/// round's liveness shares one cached CFG, which also survives the pass.
-/// The renames make any cached expression universe and liveness stale, so
-/// a changing run invalidates both before returning.
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
-/// checkpoint per merged batch (each batch scans the function once,
-/// merges every non-interfering copy it finds, and applies one rename
-/// sweep — batches are the unit of progress, and of divergence if a
-/// broken interference rule kept re-introducing copies).
+///
+/// Coalescing renames registers and deletes copies but never touches
+/// block structure: every round's liveness shares one cached CFG, which
+/// also survives the pass. The renames make any cached expression
+/// universe and liveness stale, so a changing run invalidates both before
+/// returning. One cooperative checkpoint per merged batch (each batch
+/// scans the function once, merges every non-interfering copy it finds,
+/// and applies one rename sweep — batches are the unit of progress, and
+/// of divergence if a broken interference rule kept re-introducing
+/// copies).
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a batch starts over budget; merges already
 /// performed stay performed (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget)
-        .map(|s| s.self_copies_removed + s.copies_coalesced > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("copies_coalesced", stats.copies_coalesced);
-    counters.add("self_copies_removed", stats.self_copies_removed);
-    counters.add("rounds", stats.rounds);
-    counters.add("liveness_builds", stats.liveness_builds);
-    Ok(stats.self_copies_removed + stats.copies_coalesced > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`CoalesceStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<CoalesceStats, BudgetExceeded> {
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
     debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "coalesce expects φ-free code");
-    let mut meter = budget.start(f);
+    let cache = &mut cx.cache;
+    let mut meter = cx.budget.start(f);
     let mut stats = CoalesceStats::default();
     // Drop trivial self-copies first.
     for b in &mut f.blocks {
@@ -164,7 +116,11 @@ pub fn run_budgeted_stats(
         cache.invalidate_universe();
         cache.invalidate_liveness();
     }
-    Ok(stats)
+    cx.counters.add("copies_coalesced", stats.copies_coalesced);
+    cx.counters.add("self_copies_removed", stats.self_copies_removed);
+    cx.counters.add("rounds", stats.rounds);
+    cx.counters.add("liveness_builds", stats.liveness_builds);
+    Ok(stats.self_copies_removed + stats.copies_coalesced > 0)
 }
 
 /// Union-find over register indices tracking which classes contain a
@@ -538,7 +494,12 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Budget, Pass};
     use epre_ir::{BinOp, Const, FunctionBuilder, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Coalesce.apply(f)
+    }
 
     #[test]
     fn merges_simple_copy() {
@@ -701,14 +662,14 @@ mod tests {
         let c4 = b.copy(c3);
         b.ret(Some(c4));
         let mut f = b.finish();
-        let mut cache = AnalysisCache::new();
-        let stats = run_budgeted_stats(&mut f, &mut cache, &Budget::UNLIMITED).unwrap();
-        assert_eq!(stats.copies_coalesced, 4);
+        let mut cx = PassCx::new(Budget::UNLIMITED);
+        super::run(&mut f, &mut cx).unwrap();
+        let counter = |name| cx.counters.get(name);
+        assert_eq!(counter("copies_coalesced"), 4);
         // All four merge in the first batch (a chain never interferes),
         // plus one empty scan proving the fixed point.
-        assert_eq!(stats.rounds, 2);
-        assert!(stats.liveness_builds <= stats.rounds);
-        assert!(stats.rounds >= 1);
+        assert_eq!(counter("rounds"), 2);
+        assert!(counter("liveness_builds") <= counter("rounds"));
         assert_eq!(f.inst_count(), 1);
         assert!(f.verify().is_ok());
     }

@@ -10,87 +10,29 @@
 //! Calls and stores always survive; so do instructions feeding terminators
 //! transitively.
 
-use epre_analysis::AnalysisCache;
 use epre_ir::Function;
 
-use crate::budget::{Budget, BudgetExceeded};
-use epre_telemetry::PassCounters;
+use crate::{BudgetExceeded, PassCx};
 
-/// What one DCE invocation did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DceStats {
-    /// Dead instructions deleted.
-    pub ops_killed: u64,
-    /// Liveness rounds that deleted something.
-    pub rounds: u64,
-}
-
-/// Run DCE to a fixed point. Returns true if any instruction was deleted;
-/// the deleted-ops count is observable through
-/// [`Function::static_op_count`].
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] against a caller-owned [`AnalysisCache`] (the pipeline's, when
-/// driven through `Pass::run_cached`). DCE deletes instructions but never
-/// blocks or edges: a cached CFG is reused across every liveness round of
-/// the fixed point — and survives the pass for its successors. Liveness
-/// itself is served through the cache too: each deleting round invalidates
-/// it (plus the expression universe), and the final quiescing round leaves
-/// a valid entry behind for the next liveness consumer (coalescing, which
-/// runs immediately after DCE at every level).
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
-/// checkpoint per liveness round of the fixed point.
+/// Run DCE to a fixed point. Returns true if any instruction was deleted.
+///
+/// DCE deletes instructions but never blocks or edges: a cached CFG is
+/// reused across every liveness round of the fixed point, and survives
+/// the pass for its successors. Liveness itself is served through the
+/// cache too: each deleting round invalidates it (plus the expression
+/// universe), and the final quiescing round leaves a valid entry behind
+/// for the next liveness consumer (coalescing, which runs immediately
+/// after DCE at every level). One cooperative checkpoint per liveness
+/// round; reports `ops_killed` and the deleting `rounds`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round starts over budget; instructions
 /// already deleted stay deleted (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget).map(|s| s.ops_killed > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("ops_killed", stats.ops_killed);
-    counters.add("rounds", stats.rounds);
-    Ok(stats.ops_killed > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`DceStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<DceStats, BudgetExceeded> {
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
     debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "dce expects φ-free code");
-    let mut meter = budget.start(f);
-    let mut stats = DceStats::default();
+    let cache = &mut cx.cache;
+    let mut meter = cx.budget.start(f);
+    let (mut ops_killed, mut rounds) = (0, 0);
     loop {
         meter.tick(f)?;
         let live = cache.liveness(f);
@@ -110,7 +52,7 @@ pub fn run_budgeted_stats(
                 if dead && !inst.has_side_effects() {
                     keep[i] = false;
                     changed = true;
-                    stats.ops_killed += 1;
+                    ops_killed += 1;
                     continue;
                 }
                 if let Some(d) = inst.dst() {
@@ -128,17 +70,24 @@ pub fn run_budgeted_stats(
         if !changed {
             break;
         }
-        stats.rounds += 1;
+        rounds += 1;
         cache.invalidate_universe();
         cache.invalidate_liveness();
     }
-    Ok(stats)
+    cx.counters.add("ops_killed", ops_killed);
+    cx.counters.add("rounds", rounds);
+    Ok(ops_killed > 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::{BinOp, Const, FunctionBuilder, Inst, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Dce.apply(f)
+    }
 
     #[test]
     fn removes_dead_chain() {

@@ -27,75 +27,34 @@ use std::collections::HashMap;
 use epre_ir::{BlockId, Function, Inst, Reg};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
-use crate::budget::{Budget, BudgetExceeded};
-use epre_telemetry::PassCounters;
-
-/// What one GVN invocation proved and rewrote: the size of the final
-/// congruence partition and how many operations the renaming actually
-/// touched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GvnStats {
-    /// Number of congruence classes in the stabilized partition.
-    pub partitions: u64,
-    /// Instructions and terminators whose registers the renaming changed
-    /// (the paper's "congruent ops renamed").
-    pub ops_renamed: u64,
-    /// Partition-refinement iterations consumed.
-    pub ticks: u64,
-}
+use crate::{Budget, BudgetExceeded, PassCx};
 
 /// Run GVN + renaming on `f`. The function enters and leaves non-SSA form.
 /// Returns `true` unconditionally: the SSA round trip renames registers
-/// even when no classes merge, so the function must be treated as changed.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(changed) => changed,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run`] under a resource [`Budget`]: one cooperative checkpoint per
-/// partition-refinement iteration (AWZ refinement only ever splits
-/// classes, so healthy runs take at most `reg_count` iterations — a
-/// budget trip means the refinement is broken or adversarial). Takes no
-/// analysis cache: the pass rebuilds SSA internally.
+/// even when no classes merge, so the function must be treated as
+/// changed, and every cached analysis is dropped.
+///
+/// One cooperative checkpoint per partition-refinement iteration (AWZ
+/// refinement only ever splits classes, so healthy runs take at most
+/// `reg_count` iterations — a budget trip means the refinement is broken
+/// or adversarial). Reports the final partition's size (`partitions`),
+/// the operations the renaming touched (`ops_renamed`, the paper's
+/// "congruent ops renamed") and the refinement `ticks`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a refinement iteration starts over budget; the
 /// function is left in SSA form, un-renamed (callers needing atomicity
 /// run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|_| true)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`GvnStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<GvnStats, BudgetExceeded> {
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
     build_ssa(f, SsaOptions { fold_copies: true });
-    let (partition, ticks) = refine(f, budget)?;
+    let (partition, ticks) = refine(f, &cx.budget)?;
     let ops_renamed = rename(f, &partition);
     dedupe_phis(f);
     destroy_ssa(f);
-    Ok(GvnStats { partitions: u64::from(partition.classes), ops_renamed, ticks })
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("partitions", stats.partitions);
-    counters.add("ops_renamed", stats.ops_renamed);
-    counters.add("ticks", stats.ticks);
+    cx.cache.invalidate_all();
+    cx.counters.add("partitions", u64::from(partition.classes));
+    cx.counters.add("ops_renamed", ops_renamed);
+    cx.counters.add("ticks", ticks);
     Ok(true)
 }
 
@@ -350,7 +309,12 @@ fn dedupe_phis(f: &mut Function) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::{BinOp, Const, FunctionBuilder, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Gvn.apply(f)
+    }
 
     /// The §2.2 example: x = y + z; a = y; b = a + z. After copy folding
     /// `a` is `y`, so `a + z` is congruent to `y + z`; renaming gives both
@@ -608,8 +572,9 @@ mod tests {
         assert_eq!(all.len(), ssa.reg_count() - 1, "only the two adds share a class");
 
         let mut g = f.clone();
-        let stats = run_budgeted_stats(&mut g, &Budget::UNLIMITED).unwrap();
-        assert_eq!(stats.partitions, 4);
+        let mut cx = PassCx::new(Budget::UNLIMITED);
+        super::run(&mut g, &mut cx).unwrap();
+        assert_eq!(cx.counters.get("partitions"), 4);
         assert!(g.verify().is_ok());
         assert_eq!(eval(&g, &[3, 4]), eval(&f, &[3, 4]));
     }

@@ -37,17 +37,25 @@
 //! semantics of the function; the property tests at the crate root check
 //! both on randomly generated programs.
 //!
-//! ## Change reporting and analysis preservation
+//! ## The pass contract
 //!
-//! [`Pass::run`] returns whether the pass changed the function, and
-//! [`Pass::preserves`] declares which cached analyses survive a change —
-//! together they drive the pipeline's [`AnalysisCache`] so a pass boundary
-//! no longer implies recomputing the CFG, dominators, and expression
-//! universe from scratch. Passes that rebuild the function wholesale (the
-//! SSA round-trippers `gvn` and `reassoc`, and `sccp`) report `true`
-//! conservatively; over-reporting a change is always sound (it merely
-//! costs a recomputation), while under-reporting is a bug that the
-//! pipeline's debug-build cache validation catches and blames by name.
+//! [`Pass::run`] is the only way into a pass. It takes the function and
+//! a [`PassCx`]: the pipeline's [`AnalysisCache`], the [`Budget`] the
+//! invocation is held to, and the [`PassCounters`] the pass reports its
+//! own work into (expressions hoisted, partitions found, ops folded, …).
+//! Every pass reports its counters on every run, and every pass leaves
+//! the cache consistent with the function it returns: it drops exactly
+//! the analyses its edits broke. The SSA round-trippers (`reassoc`,
+//! `gvn`, `sccp`) drop everything; `dce` and `coalesce` keep the CFG;
+//! `peephole` drops the CFG only when it folded a branch. The change
+//! flag a pass returns feeds traces and timings; the pipeline's
+//! debug-build cache validation catches a pass that leaves a stale
+//! analysis behind and blames it by name.
+//!
+//! Each pass module exposes one entry point that takes the context (the
+//! `run` beside its pass object below; `reassoc::reassociate` also
+//! returns Table 2's [`reassoc::ReassocStats`]). Callers with no pipeline
+//! around them use [`Pass::apply`].
 
 pub mod budget;
 pub mod clean;
@@ -64,8 +72,29 @@ pub mod sccp;
 pub use budget::{Budget, BudgetExceeded, BudgetKind, Meter};
 pub use epre_telemetry::PassCounters;
 
-use epre_analysis::{AnalysisCache, PreservedAnalyses};
+use epre_analysis::AnalysisCache;
 use epre_ir::Function;
+
+/// The context one pass invocation runs in.
+///
+/// A pipeline keeps one per function: the cache carries analyses from
+/// pass to pass, and the counters are cleared between passes.
+#[derive(Debug, Default)]
+pub struct PassCx {
+    /// Analyses shared with the passes before and after this one.
+    pub cache: AnalysisCache,
+    /// The resource limits the invocation is held to.
+    pub budget: Budget,
+    /// What the pass reports about its own work.
+    pub counters: PassCounters,
+}
+
+impl PassCx {
+    /// A fresh context: empty cache, no counters, `budget`.
+    pub fn new(budget: Budget) -> Self {
+        PassCx { budget, ..PassCx::default() }
+    }
+}
 
 /// A function-level optimization pass.
 ///
@@ -73,48 +102,20 @@ use epre_ir::Function;
 /// internally, mirroring the paper's pass structure ("each pass performs a
 /// single optimization, including all the required control-flow and
 /// data-flow analyses") — or borrowed from the pipeline's
-/// [`AnalysisCache`] via [`Pass::run_cached`].
+/// [`AnalysisCache`] in [`PassCx::cache`].
 pub trait Pass {
     /// Short, stable pass name (used in pipeline descriptions and logs).
     fn name(&self) -> &'static str;
 
-    /// Transform `f` in place. Returns `true` if the function may have
-    /// changed. Reporting `true` for an unchanged function is sound (it
-    /// costs cached-analysis recomputation); reporting `false` for a
-    /// changed function is a contract violation caught by the pipeline's
-    /// debug-build cache validation.
-    fn run(&self, f: &mut Function) -> bool;
-
-    /// The analyses this pass keeps valid **when it reports a change**.
-    /// (A pass reporting no change implicitly preserves everything.)
-    /// The default is the safe minimum: nothing survives.
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none()
-    }
-
-    /// Transform `f` with access to the pipeline's analysis cache.
+    /// Transform `f` in place under `cx`. Returns `true` if the function
+    /// may have changed.
     ///
-    /// Implementations MUST leave `cache` consistent with the function they
-    /// return: the default runs [`Pass::run`] and, on change, drops
-    /// everything outside [`Pass::preserves`]. Overrides may use the cache
-    /// during the transform and invalidate with finer grain.
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        let changed = self.run(f);
-        if changed {
-            cache.retain(self.preserves());
-        }
-        changed
-    }
-
-    /// Transform `f` under a resource [`Budget`].
-    ///
-    /// Fixed-point passes override this to place a cooperative checkpoint
-    /// ([`Meter::tick`]) inside every loop that could fail to converge, so
-    /// an over-budget invocation stops *mid-flight* with a typed
-    /// [`BudgetExceeded`] instead of spinning. The default covers passes
-    /// without such loops: it runs [`Pass::run_cached`] to completion and
-    /// then holds the result to the growth and deadline dimensions
-    /// post-hoc via [`Meter::finish`].
+    /// Implementations report their work into `cx.counters`, drop every
+    /// analysis in `cx.cache` their edits made stale, and hold themselves
+    /// to `cx.budget`: fixed-point passes place a cooperative checkpoint
+    /// ([`Meter::tick`]) inside every loop that could fail to converge,
+    /// single-sweep passes check the growth and deadline dimensions
+    /// afterwards ([`Meter::finish`]).
     ///
     /// On `Err` the function may be left mid-transform; callers that need
     /// all-or-nothing semantics (the sandbox, the pipeline driver) run on
@@ -122,122 +123,36 @@ pub trait Pass {
     ///
     /// # Errors
     /// [`BudgetExceeded`] naming the first exhausted dimension.
-    fn run_budgeted(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        if !budget.is_limited() {
-            return Ok(self.run_cached(f, cache));
-        }
-        let meter = budget.start(f);
-        let changed = self.run_cached(f, cache);
-        meter.finish(f)?;
-        Ok(changed)
-    }
+    fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded>;
 
-    /// [`Pass::run_budgeted`], additionally reporting the pass's own
-    /// work counters into `counters` (the telemetry layer's per-span
-    /// payload: expressions hoisted, partitions found, ops folded, …).
-    ///
-    /// The default ignores `counters` and simply delegates, so a pass
-    /// without instrumentation still runs correctly under tracing — its
-    /// spans just carry an empty counter set. Implementations MUST leave
-    /// the function and cache in exactly the state [`Pass::run_budgeted`]
-    /// would: tracing may never change the optimization result.
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] exactly as [`Pass::run_budgeted`].
-    fn run_instrumented(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-        counters: &mut PassCounters,
-    ) -> Result<bool, BudgetExceeded> {
-        let _ = counters;
-        self.run_budgeted(f, cache, budget)
+    /// Run the pass with no pipeline around it: a fresh [`PassCx`] with
+    /// an unlimited budget. Returns the change flag.
+    fn apply(&self, f: &mut Function) -> bool {
+        match self.run(f, &mut PassCx::new(Budget::UNLIMITED)) {
+            Ok(changed) => changed,
+            Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+        }
     }
 }
 
-/// The statistics-reporting pass objects used by the driver crate.
+/// The pass objects the pipelines are built from.
 pub mod passes {
     use super::*;
 
-    macro_rules! simple_pass {
-        ($(#[$doc:meta])* $name:ident, $label:literal, $fun:path
-         $(, preserves: $pres:expr)?
-         $(, budgeted_uncached: $bud:path)?
-         $(, instrumented_uncached: $ins:path)?) => {
-            $(#[$doc])*
-            #[derive(Debug, Clone, Copy, Default)]
-            pub struct $name;
-            impl Pass for $name {
-                fn name(&self) -> &'static str {
-                    $label
-                }
-                fn run(&self, f: &mut Function) -> bool {
-                    $fun(f)
-                }
-                $(
-                    fn preserves(&self) -> PreservedAnalyses {
-                        $pres
-                    }
-                )?
-                $(
-                    // `budgeted_uncached`: the module's budgeted entry point
-                    // takes no cache (the pass rebuilds SSA internally), so
-                    // the cache is retained here exactly as the trait's
-                    // run_cached default would.
-                    fn run_budgeted(
-                        &self,
-                        f: &mut Function,
-                        cache: &mut AnalysisCache,
-                        budget: &Budget,
-                    ) -> Result<bool, BudgetExceeded> {
-                        let changed = $bud(f, budget)?;
-                        if changed {
-                            cache.retain(self.preserves());
-                        }
-                        Ok(changed)
-                    }
-                )?
-                $(
-                    // `instrumented_uncached`: the module's counted entry
-                    // point takes no cache either; retention mirrors
-                    // `budgeted_uncached` so tracing never changes the
-                    // cache state the untraced pipeline would have.
-                    fn run_instrumented(
-                        &self,
-                        f: &mut Function,
-                        cache: &mut AnalysisCache,
-                        budget: &Budget,
-                        counters: &mut PassCounters,
-                    ) -> Result<bool, BudgetExceeded> {
-                        let changed = $ins(f, budget, counters)?;
-                        if changed {
-                            cache.retain(self.preserves());
-                        }
-                        Ok(changed)
-                    }
-                )?
-            }
-        };
+    /// Sparse conditional constant propagation.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ConstProp;
+
+    impl Pass for ConstProp {
+        fn name(&self) -> &'static str {
+            "constprop"
+        }
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::sccp::run(f, cx)
+        }
     }
 
-    simple_pass!(
-        /// Sparse conditional constant propagation.
-        ConstProp,
-        "constprop",
-        crate::sccp::run,
-        budgeted_uncached: crate::sccp::run_budgeted,
-        instrumented_uncached: crate::sccp::run_counted
-    );
-    /// Global peephole optimization. Instruction rewrites keep the CFG
-    /// intact; only folding a conditional branch changes block shape, and
-    /// `peephole::run_detailed` reports which happened, so `run_cached`
-    /// invalidates with finer grain than the trait default.
+    /// Global peephole optimization.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Peephole;
 
@@ -245,53 +160,12 @@ pub mod passes {
         fn name(&self) -> &'static str {
             "peephole"
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::peephole::run(f)
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            let outcome = crate::peephole::run_detailed(f);
-            if outcome.changed() {
-                if outcome.cfg_changed {
-                    cache.invalidate_cfg();
-                }
-                cache.invalidate_universe();
-                cache.invalidate_liveness();
-            }
-            outcome.changed()
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            // Mirrors the trait's default run_budgeted (single sweep,
-            // growth/deadline held post-hoc) with run_cached inlined so
-            // the detailed outcome feeds the counters.
-            let meter = budget.is_limited().then(|| budget.start(f));
-            let outcome = crate::peephole::run_detailed(f);
-            if outcome.changed() {
-                if outcome.cfg_changed {
-                    cache.invalidate_cfg();
-                }
-                cache.invalidate_universe();
-                cache.invalidate_liveness();
-            }
-            if let Some(meter) = meter {
-                meter.finish(f)?;
-            }
-            counters.add("rewrites", outcome.rewrites);
-            counters.add("branches_folded", outcome.branches_folded);
-            Ok(outcome.changed())
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::peephole::run(f, cx)
         }
     }
-    /// Dead code elimination. Deletes instructions only — never blocks
-    /// or edges — so the control-flow family survives. `run_cached` hands
-    /// the pipeline's cache straight to the pass: a CFG computed by an
-    /// earlier pass feeds every liveness round, DCE's own invalidation
-    /// (universe + liveness, per deleting round) keeps it consistent, and
-    /// the quiescing round's liveness survives for coalescing next door.
+
+    /// Dead code elimination.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Dce;
 
@@ -299,38 +173,12 @@ pub mod passes {
         fn name(&self) -> &'static str {
             "dce"
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::dce::run(f)
-        }
-        fn preserves(&self) -> PreservedAnalyses {
-            PreservedAnalyses::none().with_cfg()
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::dce::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::dce::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::dce::run_counted(f, cache, budget, counters)
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::dce::run(f, cx)
         }
     }
 
-    /// Chaitin-style copy coalescing. Renames registers and drops copies
-    /// within blocks; block structure is untouched, so `run_cached` shares
-    /// the pipeline cache's CFG with its liveness rounds and invalidates
-    /// only the expression universe on change.
+    /// Chaitin-style copy coalescing.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Coalesce;
 
@@ -338,37 +186,12 @@ pub mod passes {
         fn name(&self) -> &'static str {
             "coalesce"
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::coalesce::run(f)
-        }
-        fn preserves(&self) -> PreservedAnalyses {
-            PreservedAnalyses::none().with_cfg()
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::coalesce::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::coalesce::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::coalesce::run_counted(f, cache, budget, counters)
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::coalesce::run(f, cx)
         }
     }
 
-    /// Empty-block elimination / CFG tidying. `run_cached` shares the
-    /// pipeline cache across the fixed point; the quiescing final round
-    /// leaves a valid CFG behind for whatever runs next.
+    /// Empty-block elimination / CFG tidying.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Clean;
 
@@ -376,55 +199,49 @@ pub mod passes {
         fn name(&self) -> &'static str {
             "clean"
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::clean::run(f)
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::clean::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::clean::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::clean::run_counted(f, cache, budget, counters)
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::clean::run(f, cx)
         }
     }
-    simple_pass!(
-        /// Partial redundancy elimination (Drechsler–Stadel).
-        Pre,
-        "pre",
-        crate::pre::run,
-        budgeted_uncached: crate::pre::run_budgeted,
-        instrumented_uncached: crate::pre::run_counted
-    );
-    simple_pass!(
-        /// Partition-based global value numbering + renaming.
-        Gvn,
-        "gvn",
-        crate::gvn::run,
-        budgeted_uncached: crate::gvn::run_budgeted,
-        instrumented_uncached: crate::gvn::run_counted
-    );
-    simple_pass!(
-        /// Hash-based local value numbering. Rewrites and deletes
-        /// instructions within blocks; the CFG is untouched.
-        Lvn,
-        "lvn",
-        crate::lvn::run,
-        preserves: PreservedAnalyses::none().with_cfg(),
-        instrumented_uncached: crate::lvn::run_counted
-    );
+
+    /// Partial redundancy elimination (Drechsler–Stadel).
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct Pre;
+
+    impl Pass for Pre {
+        fn name(&self) -> &'static str {
+            "pre"
+        }
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::pre::run(f, cx)
+        }
+    }
+
+    /// Partition-based global value numbering + renaming.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct Gvn;
+
+    impl Pass for Gvn {
+        fn name(&self) -> &'static str {
+            "gvn"
+        }
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::gvn::run(f, cx)
+        }
+    }
+
+    /// Hash-based local value numbering.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct Lvn;
+
+    impl Pass for Lvn {
+        fn name(&self) -> &'static str {
+            "lvn"
+        }
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            crate::lvn::run(f, cx)
+        }
+    }
 
     /// Global reassociation (rank + forward propagation + sorting), with or
     /// without distribution of multiplication over addition.
@@ -443,43 +260,11 @@ pub mod passes {
                 "reassociate"
             }
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::reassoc::reassociate(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-            );
+        fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+            let options = crate::reassoc::ReassocOptions { distribute: self.distribute };
+            crate::reassoc::reassociate(f, options, cx)?;
             // The SSA round trip renames registers even when nothing
             // propagates; report a change conservatively.
-            true
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::reassoc::reassociate_budgeted(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-                budget,
-            )?;
-            cache.retain(self.preserves());
-            Ok(true)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::reassoc::reassociate_counted(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-                budget,
-                counters,
-            )?;
-            cache.retain(self.preserves());
             Ok(true)
         }
     }

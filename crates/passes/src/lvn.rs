@@ -14,67 +14,51 @@ use std::collections::HashMap;
 
 use epre_ir::{Const, Function, Inst, Reg};
 
-use crate::budget::{Budget, BudgetExceeded};
-use epre_telemetry::PassCounters;
+use crate::{BudgetExceeded, PassCx};
 
 /// Value number.
 type Vn = u32;
 
-/// What one LVN invocation did.
+/// What one LVN invocation did, reported as its counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LvnStats {
+struct LvnStats {
     /// Redundant recomputations deleted outright (value already in its
     /// canonical home register).
-    pub redundant_deleted: u64,
+    redundant_deleted: u64,
     /// Recomputations rewritten into copies from the canonical home.
-    pub copies_rewritten: u64,
-}
-
-impl LvnStats {
-    /// Did the invocation change the function at all?
-    pub fn changed(&self) -> bool {
-        self.redundant_deleted + self.copies_rewritten > 0
-    }
+    copies_rewritten: u64,
 }
 
 /// Run local value numbering over every block. Returns true if any
 /// instruction was rewritten or deleted.
-pub fn run(f: &mut Function) -> bool {
-    run_stats(f).changed()
-}
-
-/// [`run`], additionally reporting what the invocation did as an
-/// [`LvnStats`].
-pub fn run_stats(f: &mut Function) -> LvnStats {
-    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "lvn expects φ-free code");
-    let mut stats = LvnStats::default();
-    for block in &mut f.blocks {
-        number_block(block, &mut stats);
-    }
-    stats
-}
-
-/// Instrumented entry point for the pipeline: [`run_stats`] with the
-/// stats folded into `counters`, held to the growth and deadline budget
-/// dimensions post-hoc (LVN is a single bounded sweep — there is no loop
-/// to checkpoint cooperatively).
+///
+/// LVN rewrites and deletes instructions within blocks; the CFG survives
+/// and a change drops the expression universe and liveness. It is a
+/// single bounded sweep — there is no loop to checkpoint cooperatively —
+/// so it is held to the growth and deadline budget dimensions afterwards.
+/// Reports `redundant_deleted` and `copies_rewritten`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when the post-hoc check finds the sweep over
 /// budget.
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let meter = budget.is_limited().then(|| budget.start(f));
-    let stats = run_stats(f);
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "lvn expects φ-free code");
+    let meter = cx.budget.is_limited().then(|| cx.budget.start(f));
+    let mut stats = LvnStats::default();
+    for block in &mut f.blocks {
+        number_block(block, &mut stats);
+    }
     if let Some(meter) = meter {
         meter.finish(f)?;
     }
-    counters.add("redundant_deleted", stats.redundant_deleted);
-    counters.add("copies_rewritten", stats.copies_rewritten);
-    Ok(stats.changed())
+    let changed = stats.redundant_deleted + stats.copies_rewritten > 0;
+    if changed {
+        cx.cache.invalidate_universe();
+        cx.cache.invalidate_liveness();
+    }
+    cx.counters.add("redundant_deleted", stats.redundant_deleted);
+    cx.counters.add("copies_rewritten", stats.copies_rewritten);
+    Ok(changed)
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -190,7 +174,12 @@ fn number_block(block: &mut epre_ir::Block, stats: &mut LvnStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::{BinOp, FunctionBuilder, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Lvn.apply(f)
+    }
 
     #[test]
     fn second_computation_becomes_copy() {

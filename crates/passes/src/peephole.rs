@@ -22,39 +22,39 @@ use std::collections::HashMap;
 
 use epre_ir::{BinOp, Const, Function, Inst, Reg, Terminator, Ty, UnOp};
 
-/// What one peephole run did to the function — consumed by the pass
-/// manager to invalidate cached analyses with edge-level precision.
+use crate::{BudgetExceeded, PassCx};
+
+/// What one peephole run did to the function: which cached analyses it
+/// broke, and its counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Outcome {
+struct Outcome {
     /// Some instruction was rewritten, deleted, or replaced.
-    pub insts_changed: bool,
+    insts_changed: bool,
     /// A constant conditional branch was folded into a jump (the only
     /// peephole rewrite that edits the CFG).
-    pub cfg_changed: bool,
+    cfg_changed: bool,
     /// Individual instruction/operand rewrites applied (constant folds,
     /// identities, copy propagations, strength reductions).
-    pub rewrites: u64,
+    rewrites: u64,
     /// Constant conditional branches folded into jumps.
-    pub branches_folded: u64,
-}
-
-impl Outcome {
-    /// Did anything change at all?
-    pub fn changed(&self) -> bool {
-        self.insts_changed || self.cfg_changed
-    }
+    branches_folded: u64,
 }
 
 /// Run the peephole pass once over every block. Returns true if anything
 /// changed.
-pub fn run(f: &mut Function) -> bool {
-    run_detailed(f).changed()
-}
-
-/// Run the peephole pass, reporting instruction and CFG changes
-/// separately.
-pub fn run_detailed(f: &mut Function) -> Outcome {
+///
+/// Instruction rewrites keep the CFG intact; only folding a conditional
+/// branch changes block shape, so the cached CFG is dropped only then
+/// (the expression universe and liveness fall with any change). A single
+/// sweep, held to the growth and deadline budget dimensions afterwards.
+/// Reports `rewrites` and `branches_folded`.
+///
+/// # Errors
+/// [`BudgetExceeded`] when the post-hoc check finds the sweep over
+/// budget.
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
     debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "peephole expects φ-free code");
+    let meter = cx.budget.is_limited().then(|| cx.budget.start(f));
     let mut outcome = Outcome::default();
     for bi in 0..f.blocks.len() {
         let block = rewrite_block(f, bi);
@@ -63,7 +63,20 @@ pub fn run_detailed(f: &mut Function) -> Outcome {
         outcome.rewrites += block.rewrites;
         outcome.branches_folded += block.branches_folded;
     }
-    outcome
+    let changed = outcome.insts_changed || outcome.cfg_changed;
+    if changed {
+        if outcome.cfg_changed {
+            cx.cache.invalidate_cfg();
+        }
+        cx.cache.invalidate_universe();
+        cx.cache.invalidate_liveness();
+    }
+    if let Some(meter) = meter {
+        meter.finish(f)?;
+    }
+    cx.counters.add("rewrites", outcome.rewrites);
+    cx.counters.add("branches_folded", outcome.branches_folded);
+    Ok(changed)
 }
 
 fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
@@ -338,7 +351,12 @@ pub(crate) fn fold_un_const(op: UnOp, c: Const) -> Option<Const> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::FunctionBuilder;
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Peephole.apply(f)
+    }
 
     #[test]
     fn folds_constants() {

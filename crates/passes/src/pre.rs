@@ -36,36 +36,25 @@ use epre_cfg::edit::split_critical_edges;
 use epre_cfg::Cfg;
 use epre_ir::{BlockId, Function, Inst};
 
-use crate::budget::{Budget, BudgetExceeded, Meter};
-use epre_telemetry::PassCounters;
+use crate::{BudgetExceeded, Meter, PassCx};
 
-/// What one [`run_budgeted_stats`] invocation did, in the paper's own
-/// vocabulary: how many critical edges were split, how many expression
-/// computations were hoisted onto edges, and how many upward-exposed
-/// occurrences were deleted.
+/// What one PRE invocation did, in the paper's own vocabulary: how many
+/// critical edges were split, how many expression computations were
+/// hoisted onto edges, and how many upward-exposed occurrences were
+/// deleted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PreStats {
-    /// Outer application rounds that changed the function.
-    pub rounds: u64,
+struct PreStats {
     /// Critical edges split to create insertion landing sites.
-    pub edges_split: u64,
+    edges_split: u64,
     /// Expression computations inserted on edges (the paper's "hoisted").
-    pub exprs_hoisted: u64,
+    exprs_hoisted: u64,
     /// Upward-exposed occurrences deleted as redundant.
-    pub occurrences_deleted: u64,
-    /// Cooperative-checkpoint ticks consumed.
-    pub ticks: u64,
-}
-
-impl PreStats {
-    /// Did the invocation change the function at all?
-    pub fn changed(&self) -> bool {
-        self.edges_split + self.exprs_hoisted + self.occurrences_deleted > 0
-    }
+    occurrences_deleted: u64,
 }
 
 /// Run PRE to a fixed point. Returns true if any round changed the
-/// function (including critical-edge splitting, which edits the CFG).
+/// function (including critical-edge splitting, which edits the CFG); a
+/// change drops every cached analysis.
 ///
 /// A single application exposes *second-order* opportunities: hoisting a
 /// `loadi` out of a block un-kills the expressions that consumed the
@@ -74,76 +63,44 @@ impl PreStats {
 /// repetition). Each round only deletes or moves computations, so the
 /// iteration converges; a generous bound guards against pathological
 /// inputs.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run`] under a resource [`Budget`]: cooperative checkpoints per outer
-/// application round *and* per LATER/LATERIN sweep inside each round —
-/// both loops are fixed points, and the growth dimension also polices
-/// edge-split and insertion blowup between rounds.
+///
+/// Cooperative checkpoints fire per outer application round *and* per
+/// LATER/LATERIN sweep inside each round — both loops are fixed points,
+/// and the growth dimension also polices edge-split and insertion blowup
+/// between rounds. Reports the changing `rounds`, `edges_split`,
+/// `exprs_hoisted`, `occurrences_deleted` and the checkpoint `ticks`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round or sweep starts over budget; completed
 /// rounds stay applied (callers needing atomicity run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|s| s.changed())
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`PreStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<PreStats, BudgetExceeded> {
-    let mut meter = budget.start(f);
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+    let mut meter = cx.budget.start(f);
     let mut stats = PreStats::default();
+    let mut rounds = 0;
     for _ in 0..10 {
         meter.tick(f)?;
-        if !run_once_metered(f, &mut meter, &mut stats)? {
+        if !apply_once(f, &mut meter, &mut stats)? {
             break;
         }
-        stats.rounds += 1;
+        rounds += 1;
     }
-    stats.ticks = meter.ticks();
-    Ok(stats)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("rounds", stats.rounds);
-    counters.add("edges_split", stats.edges_split);
-    counters.add("exprs_hoisted", stats.exprs_hoisted);
-    counters.add("occurrences_deleted", stats.occurrences_deleted);
-    counters.add("ticks", stats.ticks);
-    Ok(stats.changed())
+    let changed = stats.edges_split + stats.exprs_hoisted + stats.occurrences_deleted > 0;
+    if changed {
+        cx.cache.invalidate_all();
+    }
+    cx.counters.add("rounds", rounds);
+    cx.counters.add("edges_split", stats.edges_split);
+    cx.counters.add("exprs_hoisted", stats.exprs_hoisted);
+    cx.counters.add("occurrences_deleted", stats.occurrences_deleted);
+    cx.counters.add("ticks", meter.ticks());
+    Ok(changed)
 }
 
 /// One application of Drechsler–Stadel PRE; returns true if anything
-/// changed (edges split, insertions, or deletions).
-pub fn run_once(f: &mut Function) -> bool {
-    let mut meter = Budget::UNLIMITED.start(f);
-    match run_once_metered(f, &mut meter, &mut PreStats::default()) {
-        Ok(changed) => changed,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run_once`] charging its LATER/LATERIN sweeps to a caller-owned
-/// [`Meter`], so the budget spans all rounds of an outer fixed point.
-fn run_once_metered(
+/// changed (edges split, insertions, or deletions). Charges its
+/// LATER/LATERIN sweeps to the caller's [`Meter`], so the budget spans
+/// all rounds of the outer fixed point.
+fn apply_once(
     f: &mut Function,
     meter: &mut Meter,
     stats: &mut PreStats,
@@ -347,7 +304,12 @@ fn inst_of(universe: &ExprUniverse, e: ExprId) -> Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use epre_ir::{BinOp, Const, FunctionBuilder, Terminator, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::Pre.apply(f)
+    }
 
     /// Count computations of `add x, y` in the whole function.
     fn count_adds(f: &Function) -> usize {

@@ -35,8 +35,7 @@ use epre_cfg::Cfg;
 use epre_ir::{BinOp, Const, Function, Inst, Reg, Terminator, Ty, UnOp};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
-use crate::budget::{Budget, BudgetExceeded, Meter};
-use epre_telemetry::PassCounters;
+use crate::{BudgetExceeded, Meter, PassCx};
 
 /// Options for [`reassociate`].
 #[derive(Copy, Clone, Debug, Default)]
@@ -69,30 +68,25 @@ impl ReassocStats {
 }
 
 /// Run global reassociation on `f`; returns the Table 2 statistics.
-pub fn reassociate(f: &mut Function, options: ReassocOptions) -> ReassocStats {
-    match reassociate_budgeted(f, options, &Budget::UNLIMITED) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`reassociate`] under a resource [`Budget`]: one cooperative
-/// checkpoint per block of the forward-propagation rewrite. Distribution
+///
+/// The SSA round trip drops every cached analysis. One cooperative
+/// checkpoint per block of the forward-propagation rewrite: distribution
 /// is the pipeline's biggest legitimate code-growth source (Table 2's
 /// expansion column), so the growth dimension is checked block-by-block
 /// while the rewrite is still in flight rather than once at the end.
+/// Reports `regs_ranked`, `distributions` and `ops_emitted`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a block rewrite starts over budget; blocks
 /// already rewritten stay rewritten (callers needing atomicity run a
 /// clone).
-pub fn reassociate_budgeted(
+pub fn reassociate(
     f: &mut Function,
     options: ReassocOptions,
-    budget: &Budget,
+    cx: &mut PassCx,
 ) -> Result<ReassocStats, BudgetExceeded> {
     let ops_before = f.static_op_count();
-    let mut meter = budget.start(f);
+    let mut meter = cx.budget.start(f);
 
     // Step 0+1: pruned SSA with copies folded into φs, then ranks.
     build_ssa(f, SsaOptions { fold_copies: true });
@@ -108,25 +102,11 @@ pub fn reassociate_budgeted(
     let distributions = forward_propagate(f, &ranks, options, &mut meter)?;
 
     let ops_after = f.static_op_count();
+    cx.cache.invalidate_all();
+    cx.counters.add("regs_ranked", regs_ranked as u64);
+    cx.counters.add("distributions", distributions);
+    cx.counters.add("ops_emitted", ops_after as u64);
     Ok(ReassocStats { ops_before, ops_after, regs_ranked, distributions })
-}
-
-/// Instrumented entry point for the pipeline: [`reassociate_budgeted`]
-/// with the Table 2 statistics folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`reassociate_budgeted`].
-pub fn reassociate_counted(
-    f: &mut Function,
-    options: ReassocOptions,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<ReassocStats, BudgetExceeded> {
-    let stats = reassociate_budgeted(f, options, budget)?;
-    counters.add("regs_ranked", stats.regs_ranked as u64);
-    counters.add("distributions", stats.distributions);
-    counters.add("ops_emitted", stats.ops_after as u64);
-    Ok(stats)
 }
 
 /// Ranks per register (paper §3.1). Must run on SSA.
@@ -608,8 +588,13 @@ fn distribute(tree: Tree, ranks: &[u32], count: &mut u64) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Budget;
     use epre_ir::{FunctionBuilder, Module};
     use epre_interp::{Interpreter, Value};
+
+    fn reassociate(f: &mut Function, options: ReassocOptions) -> ReassocStats {
+        super::reassociate(f, options, &mut PassCx::new(Budget::UNLIMITED)).unwrap()
+    }
 
     fn run_fn(f: &Function, name: &str, args: &[Value]) -> (Option<Value>, u64) {
         let mut m = Module::new();

@@ -14,21 +14,8 @@ use epre_analysis::AnalysisCache;
 use epre_ir::{BlockId, Const, Function, Inst, Reg, Terminator};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
-use crate::budget::{Budget, BudgetExceeded};
 use crate::peephole::{fold_bin_const, fold_un_const};
-use epre_telemetry::PassCounters;
-
-/// What one SCCP invocation proved: operations rewritten to `loadi` and
-/// conditional branches folded to jumps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SccpStats {
-    /// Instructions rewritten into `loadi` of a proven constant.
-    pub ops_folded: u64,
-    /// Conditional branches folded into unconditional jumps.
-    pub branches_folded: u64,
-    /// Worklist pops consumed.
-    pub ticks: u64,
-}
+use crate::{BudgetExceeded, PassCx};
 
 /// Lattice value for one SSA name.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -53,54 +40,23 @@ impl Lattice {
 
 /// Run SCCP on `f`. Returns `true` unconditionally: the internal SSA
 /// round trip renames registers even when no constant propagates, so the
-/// function must be treated as changed.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(changed) => changed,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run`] under a resource [`Budget`]: one cooperative checkpoint per
-/// worklist pop of the two-worklist propagation (the only part of the
-/// pass whose trip count depends on lattice convergence). Takes no
-/// analysis cache: the pass rebuilds SSA internally, so nothing cached
-/// for the incoming function survives anyway.
+/// function must be treated as changed, and every cached analysis is
+/// dropped.
+///
+/// One cooperative checkpoint per worklist pop of the two-worklist
+/// propagation (the only part of the pass whose trip count depends on
+/// lattice convergence). Reports `ops_folded` (rewritten into `loadi` of
+/// a proven constant), `branches_folded` (conditional branches folded
+/// into jumps) and the worklist `ticks`.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a pop starts over budget; the function is left
 /// mid-transform, possibly still in SSA form (callers needing atomicity
 /// run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|_| true)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("ops_folded", stats.ops_folded);
-    counters.add("branches_folded", stats.branches_folded);
-    counters.add("ticks", stats.ticks);
-    Ok(true)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as an
-/// [`SccpStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats, BudgetExceeded> {
-    let mut stats = SccpStats::default();
+pub fn run(f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+    let (mut ops_folded, mut branches_folded) = (0, 0);
     build_ssa(f, SsaOptions { fold_copies: true });
-    let mut meter = budget.start(f);
+    let mut meter = cx.budget.start(f);
 
     let nregs = f.reg_count();
     let mut value = vec![Lattice::Top; nregs];
@@ -187,7 +143,7 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
                 if let Lattice::Val(c) = value[d.index()] {
                     let folded = Inst::LoadI { dst: d, value: c };
                     if *inst != folded {
-                        stats.ops_folded += 1;
+                        ops_folded += 1;
                     }
                     *inst = folded;
                 }
@@ -197,11 +153,11 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
             if let Lattice::Val(c) = value[cond.index()] {
                 let target = if c.is_zero() { else_to } else { then_to };
                 block.term = Terminator::Jump { target };
-                stats.branches_folded += 1;
+                branches_folded += 1;
             }
         }
     }
-    stats.ticks = meter.ticks();
+    let ticks = meter.ticks();
 
     // Unreachable blocks may now contain φs naming removed edges; drop
     // unreachable blocks before SSA destruction. Both cleanups need the
@@ -211,7 +167,11 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     drop_unreachable_with_phis(f, &mut cache);
     prune_phi_args_of_removed_edges(f, &mut cache);
     destroy_ssa(f);
-    Ok(stats)
+    cx.cache.invalidate_all();
+    cx.counters.add("ops_folded", ops_folded);
+    cx.counters.add("branches_folded", branches_folded);
+    cx.counters.add("ticks", ticks);
+    Ok(true)
 }
 
 /// Sites per register in one flat array: the sites of register `r` are
@@ -429,7 +389,12 @@ fn prune_phi_args_of_removed_edges(f: &mut Function, cache: &mut AnalysisCache) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Budget, Pass};
     use epre_ir::{BinOp, FunctionBuilder, Ty};
+
+    fn run(f: &mut Function) -> bool {
+        crate::passes::ConstProp.apply(f)
+    }
 
     #[test]
     fn propagates_through_straight_line() {
@@ -613,9 +578,10 @@ mod tests {
         let r = b.bin(BinOp::Add, Ty::Int, i, five);
         b.ret(Some(r));
         let mut f = b.finish();
-        let stats = run_budgeted_stats(&mut f, &Budget::UNLIMITED).unwrap();
+        let mut cx = PassCx::new(Budget::UNLIMITED);
+        super::run(&mut f, &mut cx).unwrap();
         assert!(f.verify().is_ok(), "{f}");
-        assert_eq!(stats.branches_folded, 0, "{f}");
+        assert_eq!(cx.counters.get("branches_folded"), 0, "{f}");
         assert!(f.blocks.iter().any(|b| matches!(b.term, Terminator::Branch { .. })), "{f}");
         // The exit ran through SCCP: its constant sum folded.
         let mut insts = f.blocks.iter().flat_map(|b| &b.insts);

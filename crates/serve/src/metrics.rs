@@ -20,11 +20,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use epre::{Budget, BudgetExceeded};
-use epre_analysis::{AnalysisCache, PreservedAnalyses};
 use epre_ir::Function;
-use epre_passes::Pass;
-use epre_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, PassCounters, Snapshot};
+use epre_passes::{BudgetExceeded, Pass, PassCx};
+use epre_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 
 /// Request classes the latency histograms are keyed by. The first four
 /// mirror the loadgen traffic mix; `shed` covers typed refusals
@@ -154,7 +152,7 @@ impl ServeMetrics {
 }
 
 /// A transparent timing shim around a pipeline pass: same name, same
-/// preservation contract, same results — it only charges the wall time
+/// cache handling, same results — it only charges the wall time
 /// of each invocation to the pass's cumulative counter. The governed
 /// driver and circuit breakers see the wrapped pass's own name, so
 /// fault attribution and quarantine are unchanged.
@@ -179,35 +177,8 @@ impl Pass for TimedPass {
         self.inner.name()
     }
 
-    fn run(&self, f: &mut Function) -> bool {
-        self.charge(|| self.inner.run(f))
-    }
-
-    fn preserves(&self) -> PreservedAnalyses {
-        self.inner.preserves()
-    }
-
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        self.charge(|| self.inner.run_cached(f, cache))
-    }
-
-    fn run_budgeted(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        self.charge(|| self.inner.run_budgeted(f, cache, budget))
-    }
-
-    fn run_instrumented(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-        counters: &mut PassCounters,
-    ) -> Result<bool, BudgetExceeded> {
-        self.charge(|| self.inner.run_instrumented(f, cache, budget, counters))
+    fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+        self.charge(|| self.inner.run(f, cx))
     }
 }
 
@@ -230,14 +201,14 @@ mod tests {
         let plain = {
             let mut f = m.functions[0].clone();
             for p in Optimizer::new(OptLevel::Distribution).passes() {
-                p.run(&mut f);
+                p.apply(&mut f);
             }
             format!("{f}")
         };
         let timed = {
             let mut f = m.functions[0].clone();
             for p in metrics.instrument(Optimizer::new(OptLevel::Distribution).passes()) {
-                p.run(&mut f);
+                p.apply(&mut f);
             }
             format!("{f}")
         };

@@ -164,7 +164,13 @@ impl PassCounters {
         self.items.iter().copied()
     }
 
-    /// True if no counter was ever reported.
+    /// Forget every counter, keeping the allocation for the next pass.
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    /// True if no counter was reported since construction or the last
+    /// [`PassCounters::clear`].
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }

@@ -40,9 +40,9 @@ fn main() {
     // Constant propagation alone cannot fold anything: no operation has
     // two constant operands.
     let mut without = original.clone();
-    ConstProp.run(&mut without);
-    Peephole.run(&mut without);
-    Dce.run(&mut without);
+    ConstProp.apply(&mut without);
+    Peephole.apply(&mut without);
+    Dce.apply(&mut without);
     println!(
         "after constprop+peephole+dce WITHOUT reassociation: {} adds remain\n\n{without}\n",
         count_adds(&without)
@@ -51,10 +51,10 @@ fn main() {
     // Reassociation sorts by rank — constants (rank 0) group together —
     // and then the same constant propagation folds 3 + 2.
     let mut with = original.clone();
-    Reassociate { distribute: false }.run(&mut with);
-    ConstProp.run(&mut with);
-    Peephole.run(&mut with);
-    Dce.run(&mut with);
+    Reassociate { distribute: false }.apply(&mut with);
+    ConstProp.apply(&mut with);
+    Peephole.apply(&mut with);
+    Dce.apply(&mut with);
     println!(
         "after reassociation + the same passes: {} add remains\n\n{with}\n",
         count_adds(&with)

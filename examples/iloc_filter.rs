@@ -64,7 +64,7 @@ fn main() {
         }
     };
     for f in &mut module.functions {
-        pass.run(f);
+        pass.apply(f);
     }
     if let Err(e) = module.verify() {
         eprintln!("pass `{}` produced invalid ILOC: {e}", pass.name());

@@ -46,19 +46,19 @@ fn main() {
 
     // PRE alone: the redundancy is invisible.
     let mut pre_only = f0.clone();
-    Pre.run(&mut pre_only);
-    Dce.run(&mut pre_only);
-    Coalesce.run(&mut pre_only);
+    Pre.apply(&mut pre_only);
+    Dce.apply(&mut pre_only);
+    Coalesce.apply(&mut pre_only);
     println!("after PRE alone: {} adds (nothing found)\n", count_adds(&pre_only));
 
     // GVN first: a ≅ y, so `a + z` is renamed to the name of `y + z`;
     // then PRE deletes the recomputation.
     let mut gvn_pre = f0.clone();
-    Gvn.run(&mut gvn_pre);
+    Gvn.apply(&mut gvn_pre);
     println!("after GVN renaming:\n\n{gvn_pre}\n");
-    Pre.run(&mut gvn_pre);
-    Dce.run(&mut gvn_pre);
-    Coalesce.run(&mut gvn_pre);
+    Pre.apply(&mut gvn_pre);
+    Dce.apply(&mut gvn_pre);
+    Coalesce.apply(&mut gvn_pre);
     println!("after GVN + PRE: {} add remains\n\n{gvn_pre}", count_adds(&gvn_pre));
 
     assert_eq!(count_adds(&pre_only), 2);

@@ -20,6 +20,12 @@ cargo test -q $CARGO_FLAGS
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings
 
+echo "==> cargo bench -p epre-bench --no-run"
+# Compile every bench target, not only the two the smokes below run:
+# table1, table2 and hierarchy call the pass API directly.
+# shellcheck disable=SC2086
+cargo bench -p epre-bench --no-run $CARGO_FLAGS
+
 echo "==> bench smoke"
 CARGO_FLAGS="$CARGO_FLAGS" scripts/bench_smoke.sh
 

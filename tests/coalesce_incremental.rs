@@ -17,12 +17,11 @@
 
 use std::collections::HashSet;
 
-use epre::{run_pass_cached, OptLevel, Optimizer};
-use epre_analysis::{AnalysisCache, PreservedAnalyses};
+use epre::{run_pass, Budget, OptLevel, Optimizer, PassCx};
 use epre_frontend::NamingMode;
 use epre_harness::{compare_modules_detailed, OracleConfig};
 use epre_ir::{Function, Inst, Module};
-use epre_passes::{coalesce, Pass};
+use epre_passes::{coalesce, BudgetExceeded, Pass};
 
 const ALL_LEVELS: [OptLevel; 5] = [
     OptLevel::Baseline,
@@ -40,18 +39,12 @@ impl Pass for ReferenceCoalesce {
     fn name(&self) -> &'static str {
         "coalesce"
     }
-    fn run(&self, f: &mut Function) -> bool {
-        coalesce::reference::run(f)
-    }
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none().with_cfg()
-    }
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        coalesce::reference::run_with_cache(f, cache)
+    fn run(&self, f: &mut Function, cx: &mut PassCx) -> Result<bool, BudgetExceeded> {
+        Ok(coalesce::reference::run_with_cache(f, &mut cx.cache))
     }
 }
 
-/// Run the level's full pipeline per function through `run_pass_cached`
+/// Run the level's full pipeline per function through `run_pass`
 /// (debug builds verify the IR and validate the analysis cache after
 /// every pass). `reference_coalesce` swaps the coalesce slot for the old
 /// implementation; `check_fixed_point` asserts the completeness property
@@ -65,15 +58,15 @@ fn optimize_with(
     let opt = Optimizer::new(level);
     let mut out = module.clone();
     for f in &mut out.functions {
-        let mut cache = AnalysisCache::new();
+        let mut cx = PassCx::new(Budget::UNLIMITED);
         for pass in opt.passes() {
             if pass.name() == "coalesce" && reference_coalesce {
-                run_pass_cached(&ReferenceCoalesce, f, &mut cache)
+                run_pass(&ReferenceCoalesce, f, &mut cx)
                     .unwrap_or_else(|e| panic!("reference pipeline fault: {e}"));
             } else {
-                run_pass_cached(pass.as_ref(), f, &mut cache)
-                    .unwrap_or_else(|e| panic!("pipeline fault: {e}"));
+                run_pass(pass.as_ref(), f, &mut cx).unwrap_or_else(|e| panic!("pipeline fault: {e}"));
             }
+            cx.counters.clear();
             if pass.name() == "coalesce" && check_fixed_point {
                 assert_eq!(
                     coalesce::coalescable_copies(f),

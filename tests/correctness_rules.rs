@@ -58,7 +58,7 @@ fn live_expression_name_across_blocks_is_not_clobbered() {
 
     let orig = build();
     let mut optimized = build();
-    Pre.run(&mut optimized);
+    Pre.apply(&mut optimized);
     optimized.verify().unwrap();
 
     for p in [0i64, 1] {
@@ -94,7 +94,7 @@ fn calls_are_never_pre_candidates() {
     let mut f = b.finish();
     let calls_before =
         f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Call { .. })).count();
-    Pre.run(&mut f);
+    Pre.apply(&mut f);
     let calls_after =
         f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Call { .. })).count();
     assert_eq!(calls_before, calls_after, "{f}");

@@ -37,10 +37,10 @@ proptest! {
                                  diamond in any::<bool>()) {
         let mut f = build(&steps, diamond);
         for pass in [&Dce as &dyn Pass, &Peephole, &Coalesce, &Clean] {
-            pass.run(&mut f);
+            pass.apply(&mut f);
             prop_assert!(f.verify().is_ok(), "{} broke the verifier", pass.name());
             let once = f.clone();
-            pass.run(&mut f);
+            pass.apply(&mut f);
             prop_assert_eq!(&f, &once, "{} is not idempotent", pass.name());
         }
     }
@@ -53,7 +53,7 @@ proptest! {
         let mut f = build(&steps, diamond);
         let mut prev = f.static_op_count();
         for pass in [&Dce as &dyn Pass, &Peephole, &Coalesce, &Clean] {
-            pass.run(&mut f);
+            pass.apply(&mut f);
             let now = f.static_op_count();
             prop_assert!(now <= prev, "{} grew the code {prev} -> {now}", pass.name());
             prev = now;

@@ -58,26 +58,26 @@ fn premature_strength_reduction_blocks_grouping() {
     use epre_passes::passes::{Clean, Coalesce, Dce, Gvn, Pre};
 
     let finish = |f: &mut epre_ir::Function| {
-        Gvn.run(f);
-        Pre.run(f);
-        Peephole.run(f);
-        Dce.run(f);
-        Coalesce.run(f);
-        Clean.run(f);
+        Gvn.apply(f);
+        Pre.apply(f);
+        Peephole.apply(f);
+        Dce.apply(f);
+        Coalesce.apply(f);
+        Clean.apply(f);
     };
 
     // Correct order: reassociate, THEN peephole (the pipeline's order).
     // The whole invariant product 2*x*y groups and hoists.
     let mut good = build();
-    Reassociate { distribute: false }.run(&mut good);
+    Reassociate { distribute: false }.apply(&mut good);
     finish(&mut good);
 
     // Wrong order: peephole first turns ×2 into the non-associative
     // x+x shape, hiding the multiply from reassociation — z can no
     // longer be grouped away from the invariants.
     let mut bad = build();
-    Peephole.run(&mut bad);
-    Reassociate { distribute: false }.run(&mut bad);
+    Peephole.apply(&mut bad);
+    Reassociate { distribute: false }.apply(&mut bad);
     finish(&mut bad);
 
     let (rg, cg) = run(&good, 10);

@@ -91,7 +91,7 @@ proptest! {
         for pass in all_passes() {
             let mut m = module.clone();
             for f in &mut m.functions {
-                pass.run(f);
+                pass.apply(f);
                 prop_assert!(f.verify().is_ok(), "{} broke the verifier on:\n{}", pass.name(), src);
             }
             let got = result_of(&m, &args);
@@ -113,7 +113,7 @@ proptest! {
         for &i in &order {
             let pass = &passes[i % passes.len()];
             for f in &mut m.functions {
-                pass.run(f);
+                pass.apply(f);
             }
         }
         m.verify().expect("sequence result verifies");
