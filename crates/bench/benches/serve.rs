@@ -22,6 +22,7 @@ use epre_frontend::NamingMode;
 use epre_ir::{Inst, Module};
 use epre_serve::{OptimizeRequest, Request, Response, ResultCache, ServeConfig, ServerCore};
 use epre_suite::all_routines;
+use epre_telemetry::json::{obj, Json};
 
 /// All 50 routines fused into one module so the daemon has real work to
 /// serve; same fusion as the throughput bench (names prefixed to stay
@@ -125,15 +126,19 @@ fn main() {
     println!("  warm  {:>9.1}ms  ({:.0} fn/s)", ms(warm), functions as f64 / warm.as_secs_f64());
     println!("  warm/cold speedup {speedup:.2}x (target >= 5x)");
 
-    let entry = format!(
-        "{{\"quick\":{quick},\"cpus\":{cpus},\"functions\":{functions},\"reps\":{reps},\
-         \"cold_ms\":{:.3},\"warm_ms\":{:.3},\"speedup\":{speedup:.3}}}",
-        ms(cold),
-        ms(warm)
-    );
+    let entry = obj(vec![
+        ("quick", Json::Bool(quick)),
+        ("cpus", Json::U64(cpus as u64)),
+        ("functions", Json::U64(functions as u64)),
+        ("reps", Json::U64(reps as u64)),
+        ("cold_ms", Json::fixed(ms(cold), 3)),
+        ("warm_ms", Json::fixed(ms(warm), 3)),
+        ("speedup", Json::fixed(speedup, 3)),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SERVE.json");
     let existing = std::fs::read_to_string(path).ok();
-    let json = epre_bench::merge_named_runs("serve", existing.as_deref(), &entry);
+    let json = epre_bench::merge_named_runs("serve", existing.as_deref(), entry)
+        .unwrap_or_else(|e| panic!("{path}: {e}; the file is left as it was"));
     match std::fs::write(path, &json) {
         Ok(()) => {
             println!("\nwrote {path} ({} run(s) on record)", epre_bench::next_run_number(&json));

@@ -21,6 +21,7 @@ use epre::{OptLevel, Optimizer};
 use epre_frontend::NamingMode;
 use epre_ir::{Inst, Module};
 use epre_suite::all_routines;
+use epre_telemetry::json::{obj, Json};
 
 /// All 50 routines fused into one module so the per-function parallel
 /// driver has real work to distribute. Function names (and intra-routine
@@ -119,10 +120,11 @@ fn main() {
             });
             let speedup = serial.as_secs_f64() / t.as_secs_f64();
             cells.push_str(&format!("{:>8}", format!("{speedup:.2}x")));
-            jobs_json.push(format!(
-                "{{\"jobs\":{jobs},\"ms\":{:.3},\"speedup\":{speedup:.3}}}",
-                ms(t)
-            ));
+            jobs_json.push(obj(vec![
+                ("jobs", Json::U64(jobs as u64)),
+                ("ms", Json::fixed(ms(t), 3)),
+                ("speedup", Json::fixed(speedup, 3)),
+            ]));
         }
         println!("{:18} {:>8.1}ms {cells}", level.label(), ms(serial));
 
@@ -137,26 +139,28 @@ fn main() {
             report.passes.iter().filter(|p| p.pass == "coalesce").map(|p| ms(p.duration)).sum();
         let coalesce_share = if pass_ms > 0.0 { coalesce_ms / pass_ms } else { 0.0 };
         println!("{:18} coalesce {:.1}% of pass time", "", coalesce_share * 100.0);
-        level_jsons.push(format!(
-            "{{\"level\":\"{}\",\"serial_ms\":{:.3},\"coalesce_share\":{:.3},\"jobs\":[{}],\"timings\":{}}}",
-            level.label(),
-            ms(serial),
-            coalesce_share,
-            jobs_json.join(","),
-            report.to_json()
-        ));
+        level_jsons.push(obj(vec![
+            ("level", Json::Str(level.label().into())),
+            ("serial_ms", Json::fixed(ms(serial), 3)),
+            ("coalesce_share", Json::fixed(coalesce_share, 3)),
+            ("jobs", Json::Arr(jobs_json)),
+            ("timings", report.to_json()),
+        ]));
     }
 
-    let entry = format!(
-        "{{\"quick\":{quick},\"cpus\":{cpus},\"functions\":{},\"reps\":{reps},\"levels\":[{}]}}",
-        module.functions.len(),
-        level_jsons.join(",")
-    );
+    let entry = obj(vec![
+        ("quick", Json::Bool(quick)),
+        ("cpus", Json::U64(cpus as u64)),
+        ("functions", Json::U64(module.functions.len() as u64)),
+        ("reps", Json::U64(reps as u64)),
+        ("levels", Json::Arr(level_jsons)),
+    ]);
     // Append to the run history instead of overwriting past results; the
     // `run` numbers increase monotonically across invocations.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_OPT.json");
     let existing = std::fs::read_to_string(path).ok();
-    let json = epre_bench::merge_bench_runs(existing.as_deref(), &entry);
+    let json = epre_bench::merge_bench_runs(existing.as_deref(), entry)
+        .unwrap_or_else(|e| panic!("{path}: {e}; the file is left as it was"));
     assert!(
         epre_bench::runs_monotonic(&json),
         "appending this run must keep the monotonic `run` history `epre report` enforces"

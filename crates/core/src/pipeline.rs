@@ -188,18 +188,15 @@ impl Optimizer {
     /// the rest of a chunk behind it. The output is **deterministic**: functions
     /// are reassembled in module order, and the reported fault is the one
     /// belonging to the earliest function in that order — byte-identical
-    /// to the serial result regardless of scheduling. `jobs <= 1` takes
-    /// the exact serial path. A worker panic (outside the per-pass
-    /// verification) is contained with `catch_unwind` and surfaced as a
-    /// [`PassFault`] with kind `panic`, so one bad function cannot take
-    /// down sibling workers.
+    /// to the serial result regardless of scheduling. `jobs <= 1` runs
+    /// every function inline on the caller's thread. At any `jobs`, a
+    /// panic (outside the per-pass verification) is contained with
+    /// `catch_unwind` and surfaced as a [`PassFault`] with kind `panic`,
+    /// so one bad function cannot take down its siblings or the caller.
     ///
     /// # Errors
     /// The first [`PassFault`] in module function order.
     pub fn try_optimize_jobs(&self, module: &Module, jobs: usize) -> Result<Module, PassFault> {
-        if jobs <= 1 || module.functions.len() <= 1 {
-            return self.try_optimize(module);
-        }
         let functions = WorkShards::map_ordered(module.functions.len(), jobs, || (), |(), i| {
             let src = &module.functions[i];
             contain_panic(&src.name, || {
@@ -447,26 +444,39 @@ mod tests {
         }
     }
 
-    /// A worker panic is contained as a typed fault; sibling functions are
+    /// A worker panic is contained as a typed fault at every job count,
+    /// through the plain and the traced driver; sibling functions are
     /// unaffected and the blamed function is deterministic.
     #[test]
     fn parallel_driver_contains_worker_panics() {
         let module = compile(FOO, NamingMode::Disciplined).unwrap();
-        let mut bad = module.clone();
         // A jump to a block the function does not have makes the CFG
         // constructor panic (index out of bounds) inside the first pass.
-        let mut f = Function::new("corrupt", None);
-        f.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump {
+        let mut corrupt = Function::new("corrupt", None);
+        corrupt.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump {
             target: epre_ir::BlockId(7),
         }));
-        bad.functions.insert(0, f);
+        let mut bad = module.clone();
+        bad.functions.insert(0, corrupt.clone());
         bad.functions.push(module.functions[0].clone());
         bad.functions.last_mut().unwrap().name = "foo2".into();
-        let err = Optimizer::new(OptLevel::Partial)
-            .try_optimize_jobs(&bad, 4)
-            .expect_err("the corrupt function must fault");
-        assert_eq!(err.function, "corrupt");
-        assert_eq!(err.kind_label(), "panic");
+        let alone = Module { functions: vec![corrupt], ..module.clone() };
+        let opt = Optimizer::new(OptLevel::Partial);
+        for m in [&bad, &alone] {
+            for jobs in [1, 2, 4] {
+                let faults = [
+                    opt.try_optimize_jobs(m, jobs).map(drop),
+                    opt.try_optimize_traced(m, jobs, false).map(drop),
+                    opt.try_optimize_traced(m, jobs, true).map(drop),
+                ];
+                for fault in faults {
+                    let err = fault.expect_err("the corrupt function must fault");
+                    let functions = m.functions.len();
+                    assert_eq!(err.function, "corrupt", "{functions} function(s), jobs {jobs}");
+                    assert_eq!(err.kind_label(), "panic", "{functions} function(s), jobs {jobs}");
+                }
+            }
+        }
     }
 
     /// Cache soundness: a pass that rewires the CFG but leaves the cached

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use epre_analysis::CacheStats;
 use epre_ir::Module;
+use epre_telemetry::json::{obj, Json};
 
 use crate::fault::PassFault;
 use crate::pipeline::Optimizer;
@@ -63,34 +64,28 @@ fn ms(d: Duration) -> f64 {
 }
 
 impl ModuleTimings {
-    /// Render the report as a small JSON object (hand-rolled: the
-    /// workspace carries no serialization dependency). Durations are in
-    /// milliseconds.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"level\":\"{}\",\"functions\":{},\"total_ms\":{:.3},",
-            self.level, self.functions, ms(self.total)
-        ));
-        s.push_str(&format!(
-            "\"cache\":{{\"hits\":{},\"misses\":{}}},\"passes\":[",
-            self.cache.hits, self.cache.misses
-        ));
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"pass\":\"{}\",\"ms\":{:.3},\"invocations\":{},\"changed\":{},\"rounds\":{}}}",
-                p.pass,
-                ms(p.duration),
-                p.invocations,
-                p.changed,
-                p.rounds
-            ));
-        }
-        s.push_str("]}");
-        s
+    /// The report as a JSON object; durations are milliseconds with
+    /// three decimals.
+    pub fn to_json(&self) -> Json {
+        let passes = self.passes.iter().map(|p| {
+            obj(vec![
+                ("pass", Json::Str(p.pass.into())),
+                ("ms", Json::fixed(ms(p.duration), 3)),
+                ("invocations", Json::U64(p.invocations as u64)),
+                ("changed", Json::U64(p.changed as u64)),
+                ("rounds", Json::U64(p.rounds)),
+            ])
+        });
+        obj(vec![
+            ("level", Json::Str(self.level.into())),
+            ("functions", Json::U64(self.functions as u64)),
+            ("total_ms", Json::fixed(ms(self.total), 3)),
+            (
+                "cache",
+                obj(vec![("hits", Json::U64(self.cache.hits)), ("misses", Json::U64(self.cache.misses))]),
+            ),
+            ("passes", Json::Arr(passes.collect())),
+        ])
     }
 }
 
@@ -250,10 +245,33 @@ mod tests {
     }
 
     #[test]
+    fn json_rendering_matches_the_pinned_bytes() {
+        let pass = |pass, nanos, invocations, changed, rounds| PassTiming {
+            pass,
+            duration: Duration::from_nanos(nanos),
+            invocations,
+            changed,
+            rounds,
+        };
+        let report = ModuleTimings {
+            level: "partial",
+            functions: 3,
+            total: Duration::from_nanos(12_345_678),
+            passes: vec![
+                pass("gvn", 1_500_499, 3, 2, 0),
+                pass("pre", 500, 3, 0, 4),
+                pass("coalesce", 9_999_999, 3, 3, 7),
+            ],
+            cache: CacheStats { hits: 11, misses: 5 },
+        };
+        assert_eq!(report.to_json().encode(), "{\"level\":\"partial\",\"functions\":3,\"total_ms\":12.346,\"cache\":{\"hits\":11,\"misses\":5},\"passes\":[{\"pass\":\"gvn\",\"ms\":1.500,\"invocations\":3,\"changed\":2,\"rounds\":0},{\"pass\":\"pre\",\"ms\":0.001,\"invocations\":3,\"changed\":0,\"rounds\":4},{\"pass\":\"coalesce\",\"ms\":10.000,\"invocations\":3,\"changed\":3,\"rounds\":7}]}");
+    }
+
+    #[test]
     fn json_rendering_is_well_formed_enough() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let (_, report) = Optimizer::new(OptLevel::Partial).optimize_timed(&m);
-        let json = report.to_json();
+        let json = report.to_json().encode();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"level\":\"partial\""), "{json}");
         assert!(json.contains("\"passes\":["), "{json}");

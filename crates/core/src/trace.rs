@@ -149,7 +149,9 @@ impl Optimizer {
     /// merged in module order, and all exported numbers are virtual.
     /// `wall` forces the serial path (per-pass wall-clock attribution
     /// across workers would perturb what it measures) and records real
-    /// nanoseconds on the events for the `--timings` aggregation.
+    /// nanoseconds on the events for the `--timings` aggregation. As in
+    /// [`Optimizer::try_optimize_jobs`], a panic at any `jobs` becomes a
+    /// [`PassFault`] with kind `panic`.
     ///
     /// # Errors
     /// The first [`PassFault`] in module function order.
@@ -164,15 +166,12 @@ impl Optimizer {
             let mut f = module.functions[i].clone();
             optimize_function_traced(self, &mut f, i as u32, wall).map(|trace| (f, trace))
         };
-        let done: Vec<(Function, FunctionTrace)> = if wall || jobs <= 1 || n <= 1 {
-            (0..n).map(traced).collect::<Result<_, _>>()?
-        } else {
-            WorkShards::map_ordered(n, jobs, || (), |(), i| {
-                contain_panic(&module.functions[i].name, || traced(i))
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?
-        };
+        let jobs = if wall { 1 } else { jobs };
+        let done: Vec<(Function, FunctionTrace)> = WorkShards::map_ordered(n, jobs, || (), |(), i| {
+            contain_panic(&module.functions[i].name, || traced(i))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         let (functions, lanes) = done.into_iter().unzip();
         Ok((Module { functions, ..*module }, Trace::from_lanes(lanes)))
     }

@@ -4,11 +4,12 @@
 //! [`Rule`](crate::rules::Rule), a [`Location`] down to the instruction
 //! where possible, and a human-readable message. A [`Report`] accumulates
 //! them and renders either compiler-style text or machine-readable JSON
-//! (hand-rolled — the workspace carries no serialization dependency).
+//! (through the workspace codec, [`epre_telemetry::json`]).
 
 use std::fmt;
 
 use epre_ir::BlockId;
+use epre_telemetry::json::{obj, Json};
 
 use crate::rules::Rule;
 
@@ -183,39 +184,23 @@ impl Report {
         out
     }
 
-    /// Render the report as a JSON array of finding objects. Keys:
-    /// `code`, `rule`, `severity`, `function`, `block` (number or null),
-    /// `inst` (number or null), `message`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"code\":");
-            json_string(&mut s, d.rule.code());
-            s.push_str(",\"rule\":");
-            json_string(&mut s, d.rule.slug());
-            s.push_str(",\"severity\":");
-            json_string(&mut s, d.severity().label());
-            s.push_str(",\"function\":");
-            json_string(&mut s, &d.location.function);
-            s.push_str(",\"block\":");
-            match d.location.block {
-                Some(b) => s.push_str(&b.0.to_string()),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"inst\":");
-            match d.location.inst {
-                Some(i) => s.push_str(&i.to_string()),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"message\":");
-            json_string(&mut s, &d.message);
-            s.push('}');
-        }
-        s.push(']');
-        s
+    /// The report as a JSON array of finding objects. Keys: `code`,
+    /// `rule`, `severity`, `function`, `block` (number or null), `inst`
+    /// (number or null), `message`.
+    pub fn to_json(&self) -> Json {
+        let index = |i: Option<u64>| i.map_or(Json::Null, Json::U64);
+        let findings = self.diagnostics.iter().map(|d| {
+            obj(vec![
+                ("code", Json::Str(d.rule.code().into())),
+                ("rule", Json::Str(d.rule.slug().into())),
+                ("severity", Json::Str(d.severity().label().into())),
+                ("function", Json::Str(d.location.function.clone())),
+                ("block", index(d.location.block.map(|b| b.0.into()))),
+                ("inst", index(d.location.inst.map(|i| i as u64))),
+                ("message", Json::Str(d.message.clone())),
+            ])
+        });
+        Json::Arr(findings.collect())
     }
 }
 
@@ -232,25 +217,6 @@ impl fmt::Display for Report {
             self.diagnostics.len()
         )
     }
-}
-
-/// Append `v` to `s` as a JSON string literal with full escaping.
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 #[cfg(test)]
@@ -272,7 +238,7 @@ mod tests {
     fn json_escapes_and_nulls() {
         let mut r = Report::new();
         r.push(Rule::NoBlocks, Location::function("f\"g"), "no \"blocks\"\n".into());
-        let j = r.to_json();
+        let j = r.to_json().encode();
         assert!(j.contains("\"function\":\"f\\\"g\""), "{j}");
         assert!(j.contains("\"block\":null"), "{j}");
         assert!(j.contains("no \\\"blocks\\\"\\n"), "{j}");

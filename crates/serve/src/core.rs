@@ -250,7 +250,7 @@ impl ServerCore {
             }
         }
         if format == "json" {
-            snap.to_json()
+            snap.to_json().encode()
         } else {
             snap.to_text()
         }

@@ -8,7 +8,8 @@
 //!
 //! The layers, bottom-up:
 //!
-//! * [`json`] — a zero-dependency JSON subset codec,
+//! * [`json`] — the workspace's one JSON codec, re-exported from
+//!   [`epre_telemetry::json`],
 //! * [`protocol`] — `<len>\n<json>\n` framing, typed requests,
 //!   responses, and refusal codes,
 //! * [`cache`] — a persistent content-addressed result cache riding the
@@ -89,12 +90,14 @@ pub mod cache;
 pub mod client;
 pub mod core;
 pub mod events;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod recorder;
 pub mod server;
+
+/// The workspace's JSON codec, which the protocol frames ride on.
+pub use epre_telemetry::json;
 
 pub use cache::{CacheRecovery, ResultCache, CACHE_HEADER};
 pub use client::{

@@ -35,6 +35,7 @@ use epre_ir::parse_module;
 
 use crate::client::{ClientConfig, Session};
 use crate::core::level_from_label;
+use crate::json::{self, obj, Json};
 use crate::protocol::{read_frame, OptimizeRequest, Response, MAX_FRAME_BYTES};
 
 /// Load-generator knobs. The mix weights are relative — `{2, 6, 1, 1}`
@@ -133,9 +134,9 @@ pub struct LoadgenReport {
     /// rotations and dropped peers, recovered transparently).
     pub reconnects: u64,
     /// The daemon's own view of the run, scraped from its live metrics
-    /// at the end (`--metrics-snapshot`): a pre-rendered JSON object
-    /// fragment, or `None` when no snapshot was taken.
-    pub server: Option<String>,
+    /// at the end (`--metrics-snapshot`): a JSON object, or `None` when
+    /// no snapshot was taken.
+    pub server: Option<Json>,
 }
 
 impl LoadgenReport {
@@ -170,45 +171,41 @@ impl LoadgenReport {
     /// The run as a `BENCH_SERVE.json` entry (appended with
     /// [`epre_bench::merge_named_runs`] by the CLI; `run` numbering is
     /// the merger's job).
-    pub fn json_entry(&self) -> String {
-        let mut s = format!(
-            "{{\"loadgen\":true,\"clients\":{},\"duration_ms\":{},\"total_ops\":{},\
-             \"rps\":{:.3},\"reconnects\":{},\"wrong\":{},\"hangs\":{},\"failures\":{},\
-             \"classes\":{{",
-            self.clients,
-            self.duration_ms,
-            self.total_ops(),
-            self.rps(),
-            self.reconnects,
-            self.wrongs(),
-            self.hangs(),
-            self.failures(),
-        );
-        for (i, (name, c)) in self.classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let rps = if self.duration_ms == 0 {
+    pub fn json_entry(&self) -> Json {
+        let per_sec = |ops: u64| {
+            if self.duration_ms == 0 {
                 0.0
             } else {
-                c.ops as f64 * 1e3 / self.duration_ms as f64
-            };
-            s.push_str(&format!(
-                "\"{name}\":{{\"ops\":{},\"rps\":{rps:.3},\"p50_ms\":{:.3},\
-                 \"p95_ms\":{:.3},\"p99_ms\":{:.3}}}",
-                c.ops,
-                c.percentile_us(50.0) as f64 / 1e3,
-                c.percentile_us(95.0) as f64 / 1e3,
-                c.percentile_us(99.0) as f64 / 1e3,
-            ));
-        }
-        s.push_str("}}");
+                ops as f64 * 1e3 / self.duration_ms as f64
+            }
+        };
+        let ms = |us: u64| Json::fixed(us as f64 / 1e3, 3);
+        let classes = self.classes.iter().map(|(name, c)| {
+            let fields = obj(vec![
+                ("ops", Json::U64(c.ops)),
+                ("rps", Json::fixed(per_sec(c.ops), 3)),
+                ("p50_ms", ms(c.percentile_us(50.0))),
+                ("p95_ms", ms(c.percentile_us(95.0))),
+                ("p99_ms", ms(c.percentile_us(99.0))),
+            ]);
+            (name.clone(), fields)
+        });
+        let mut entry = vec![
+            ("loadgen", Json::Bool(true)),
+            ("clients", Json::U64(self.clients as u64)),
+            ("duration_ms", Json::U64(self.duration_ms)),
+            ("total_ops", Json::U64(self.total_ops())),
+            ("rps", Json::fixed(self.rps(), 3)),
+            ("reconnects", Json::U64(self.reconnects)),
+            ("wrong", Json::U64(self.wrongs())),
+            ("hangs", Json::U64(self.hangs())),
+            ("failures", Json::U64(self.failures())),
+            ("classes", Json::Obj(classes.collect())),
+        ];
         if let Some(server) = &self.server {
-            // Splice the daemon's own view in before the closing brace.
-            s.pop();
-            s.push_str(&format!(",\"server\":{server}}}"));
+            entry.push(("server", server.clone()));
         }
-        s
+        obj(entry)
     }
 
     /// A human-readable summary table.
@@ -235,7 +232,7 @@ impl LoadgenReport {
             ));
         }
         if let Some(server) = &self.server {
-            out.push_str(&format!("  server metrics snapshot: {server}\n"));
+            out.push_str(&format!("  server metrics snapshot: {}\n", server.encode()));
         }
         out
     }
@@ -245,61 +242,42 @@ impl LoadgenReport {
 /// request/saturation totals plus, per latency class, the histogram's
 /// count, cumulative sum, and nearest-rank p99 upper bound (from
 /// [`epre_telemetry::quantile_le`] over the fixed bucket ladder).
-/// Returns a rendered JSON object fragment — integer-only, like the
-/// exposition it is derived from.
-fn distill_metrics(body: &str) -> Result<String, String> {
-    let parsed = crate::json::parse(body).map_err(|e| format!("metrics json: {e}"))?;
+/// Integer-only, like the exposition it is derived from.
+fn distill_metrics(body: &str) -> Result<Json, String> {
+    let parsed = json::parse(body).map_err(|e| format!("metrics json: {e}"))?;
     let metrics = parsed
         .get("metrics")
-        .and_then(crate::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("metrics json: missing 'metrics' array")?;
-    let counter = |name: &str| -> u64 {
-        metrics
-            .iter()
-            .find(|m| m.get("name").and_then(crate::json::Json::as_str) == Some(name))
-            .and_then(|m| m.get("value"))
-            .and_then(crate::json::Json::as_u64)
-            .unwrap_or(0)
+    let named = |m: &Json, name: &str| m.get("name").and_then(Json::as_str) == Some(name);
+    let counter = |name: &str| -> Json {
+        let value = metrics.iter().find(|m| named(m, name)).and_then(|m| m.get("value"));
+        Json::U64(value.and_then(Json::as_u64).unwrap_or(0))
     };
-    let mut out = format!(
-        "{{\"requests\":{},\"completed\":{},\"workers_saturated\":{},\"slow_requests\":{},\
-         \"classes\":{{",
-        counter("epre_requests_total"),
-        counter("epre_completed_total"),
-        counter("epre_workers_saturated_total"),
-        counter("epre_slow_requests_total"),
-    );
-    let mut first = true;
-    for m in metrics {
-        if m.get("name").and_then(crate::json::Json::as_str) != Some("epre_request_latency_us") {
-            continue;
-        }
-        let Some(label) = m.get("label").and_then(crate::json::Json::as_str) else { continue };
+    let ints = |m: &Json, key: &str| -> Vec<u64> {
+        let items = m.get(key).and_then(Json::as_arr).unwrap_or_default();
+        items.iter().filter_map(Json::as_u64).collect()
+    };
+    let mut classes = Vec::new();
+    for m in metrics.iter().filter(|m| named(m, "epre_request_latency_us")) {
+        let Some(label) = m.get("label").and_then(Json::as_str) else { continue };
         let Some(class) = label.strip_prefix("class=") else { continue };
-        let counts: Vec<u64> = m
-            .get("counts")
-            .and_then(crate::json::Json::as_arr)
-            .map(|a| a.iter().filter_map(crate::json::Json::as_u64).collect())
-            .unwrap_or_default();
-        let bounds: Vec<u64> = m
-            .get("bounds")
-            .and_then(crate::json::Json::as_arr)
-            .map(|a| a.iter().filter_map(crate::json::Json::as_u64).collect())
-            .unwrap_or_default();
-        let count = m.get("count").and_then(crate::json::Json::as_u64).unwrap_or(0);
-        let sum = m.get("sum").and_then(crate::json::Json::as_u64).unwrap_or(0);
-        let p99 = epre_telemetry::quantile_le(&bounds, &counts, 99, 100);
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{class}\":{{\"count\":{count},\"sum_us\":{sum},\"p99_us_le\":{}}}",
-            p99.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        ));
+        let scalar = |key: &str| m.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let p99 = epre_telemetry::quantile_le(&ints(m, "bounds"), &ints(m, "counts"), 99, 100);
+        let fields = obj(vec![
+            ("count", Json::U64(scalar("count"))),
+            ("sum_us", Json::U64(scalar("sum"))),
+            ("p99_us_le", p99.map_or(Json::Null, Json::U64)),
+        ]);
+        classes.push((class.to_string(), fields));
     }
-    out.push_str("}}");
-    Ok(out)
+    Ok(obj(vec![
+        ("requests", counter("epre_requests_total")),
+        ("completed", counter("epre_completed_total")),
+        ("workers_saturated", counter("epre_workers_saturated_total")),
+        ("slow_requests", counter("epre_slow_requests_total")),
+        ("classes", Json::Obj(classes)),
+    ]))
 }
 
 /// A tiny module with a lexically redundant pair (so PRE has real work)
@@ -594,7 +572,7 @@ mod tests {
         };
         assert_eq!(report.total_ops(), 3);
         assert_eq!(report.rps(), 3.0);
-        let json = report.json_entry();
+        let json = report.json_entry().encode();
         assert!(json.starts_with("{\"loadgen\":true,"), "{json}");
         assert!(json.contains("\"cold\":{\"ops\":3,\"rps\":3.000,\"p50_ms\":2.000"), "{json}");
         assert!(json.contains("\"p95_ms\":3.000,\"p99_ms\":3.000"), "{json}");
@@ -623,13 +601,14 @@ mod tests {
             counts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(","),
         );
         let fragment = distill_metrics(&body).unwrap();
-        assert!(fragment.starts_with("{\"requests\":10,"), "{fragment}");
+        let text = fragment.encode();
+        assert!(text.starts_with("{\"requests\":10,"), "{text}");
         let p99 = epre_telemetry::LATENCY_BUCKETS_US[10];
         assert!(
-            fragment.contains(&format!(
+            text.contains(&format!(
                 "\"cold\":{{\"count\":10,\"sum_us\":1234,\"p99_us_le\":{p99}}}"
             )),
-            "{fragment}"
+            "{text}"
         );
         // And the fragment rides into the run entry.
         let report = LoadgenReport {
@@ -639,9 +618,35 @@ mod tests {
             reconnects: 0,
             server: Some(fragment),
         };
-        let json = report.json_entry();
+        let json = report.json_entry().encode();
         assert!(json.contains(",\"server\":{\"requests\":10,"), "{json}");
         assert!(json.ends_with("}}"), "{json}");
+    }
+
+    #[test]
+    fn json_entry_matches_the_pinned_bytes() {
+        let mut cold = ClassStats { ops: 3, ..Default::default() };
+        cold.latencies_us = vec![1000, 2000, 3000];
+        let mut warm = ClassStats { ops: 7, wrongs: 1, hangs: 2, failures: 3, ..Default::default() };
+        warm.latencies_us = vec![5, 250, 1_999_999];
+        let mut report = LoadgenReport {
+            clients: 3,
+            duration_ms: 1234,
+            classes: vec![("cold".into(), cold), ("warm".into(), warm)],
+            reconnects: 4,
+            server: None,
+        };
+        assert_eq!(report.json_entry().encode(), "{\"loadgen\":true,\"clients\":3,\"duration_ms\":1234,\"total_ops\":10,\"rps\":8.104,\"reconnects\":4,\"wrong\":1,\"hangs\":2,\"failures\":3,\"classes\":{\"cold\":{\"ops\":3,\"rps\":2.431,\"p50_ms\":2.000,\"p95_ms\":3.000,\"p99_ms\":3.000},\"warm\":{\"ops\":7,\"rps\":5.673,\"p50_ms\":0.250,\"p95_ms\":1999.999,\"p99_ms\":1999.999}}}");
+        let body = "{\"metrics\":[\
+            {\"name\":\"epre_requests_total\",\"type\":\"counter\",\"value\":10},\
+            {\"name\":\"epre_request_latency_us\",\"type\":\"histogram\",\
+             \"label\":\"class=cold\",\"bounds\":[1,2,4],\"counts\":[0,9,1,0],\
+             \"sum\":1234,\"count\":10},\
+            {\"name\":\"epre_request_latency_us\",\"type\":\"histogram\",\
+             \"label\":\"class=warm\",\"bounds\":[1,2,4],\"counts\":[0,0,0,2],\
+             \"sum\":99,\"count\":2}]}";
+        report.server = Some(distill_metrics(body).unwrap());
+        assert_eq!(report.json_entry().encode(), "{\"loadgen\":true,\"clients\":3,\"duration_ms\":1234,\"total_ops\":10,\"rps\":8.104,\"reconnects\":4,\"wrong\":1,\"hangs\":2,\"failures\":3,\"classes\":{\"cold\":{\"ops\":3,\"rps\":2.431,\"p50_ms\":2.000,\"p95_ms\":3.000,\"p99_ms\":3.000},\"warm\":{\"ops\":7,\"rps\":5.673,\"p50_ms\":0.250,\"p95_ms\":1999.999,\"p99_ms\":1999.999}},\"server\":{\"requests\":10,\"completed\":0,\"workers_saturated\":0,\"slow_requests\":0,\"classes\":{\"cold\":{\"count\":10,\"sum_us\":1234,\"p99_us_le\":4},\"warm\":{\"count\":2,\"sum_us\":99,\"p99_us_le\":null}}}}");
     }
 
     #[test]
@@ -676,7 +681,7 @@ mod tests {
         assert_eq!(report.wrongs(), 0, "zero wrong answers\n{}", report.render_text());
         assert_eq!(report.hangs(), 0, "zero hangs\n{}", report.render_text());
         assert_eq!(report.failures(), 0, "no transient failures expected in-process");
-        let server = report.server.as_deref().expect("--metrics-snapshot scraped the daemon");
+        let server = report.server.expect("--metrics-snapshot scraped the daemon").encode();
         assert!(server.starts_with("{\"requests\":"), "{server}");
         assert!(server.contains("\"cold\":{\"count\":"), "{server}");
         // The daemon survived the poison/oversized mix and still serves.

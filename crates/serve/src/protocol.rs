@@ -669,6 +669,24 @@ mod tests {
         );
     }
 
+    /// The codec accepts every JSON number, so the protocol's own field
+    /// checks are what refuse a version or deadline that is not a `u64`.
+    #[test]
+    fn non_u64_numbers_get_typed_field_errors() {
+        let optimize = |deadline: &str| {
+            format!(
+                r#"{{"v":1,"kind":"optimize","client":"c","level":"partial","policy":"best-effort","deadline_ms":{deadline},"idempotency":"k","module":""}}"#
+            )
+        };
+        assert!(Request::decode(&optimize("5")).is_ok(), "the well-formed baseline decodes");
+        for bad in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            let err = Request::decode(&format!(r#"{{"v":{bad},"kind":"ping"}}"#)).unwrap_err();
+            assert_eq!(err, "missing integer field 'v'", "v = {bad}");
+            let err = Request::decode(&optimize(bad)).unwrap_err();
+            assert_eq!(err, "field 'deadline_ms' must be an integer", "deadline_ms = {bad}");
+        }
+    }
+
     #[test]
     fn responses_roundtrip() {
         let resps = [

@@ -683,11 +683,20 @@ mod tests {
         }
         // The daemon must still be serving (an implicit-shutdown bug
         // would have begun draining here), and must have counted them.
+        // Workers count the empty connections asynchronously, so ask
+        // again until all three are in or the deadline passes.
         let stream = TcpStream::connect(addr).unwrap();
         let mut w = BufWriter::new(stream.try_clone().unwrap());
         let mut r = BufReader::new(stream);
-        write_frame(&mut w, &Request::Stats.encode()).unwrap();
-        let frames = read_answer(&mut r);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let frames = loop {
+            write_frame(&mut w, &Request::Stats.encode()).unwrap();
+            let frames = read_answer(&mut r);
+            if stats_counter(&frames, "conn_empty") >= 3 || Instant::now() >= deadline {
+                break frames;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        };
         assert_eq!(stats_counter(&frames, "conn_empty"), 3);
         assert_eq!(stats_counter(&frames, "goaway_draining"), 0, "no drain began");
         write_frame(&mut w, &Request::Shutdown.encode()).unwrap();

@@ -61,7 +61,23 @@ fn corpus_diagnostics_carry_locations_and_json() {
     assert_eq!(d.severity(), Severity::Error);
     assert_eq!(d.location.function, "use_before_def");
     assert!(d.location.block.is_some());
-    let json = report.to_json();
+    let json = report.to_json().encode();
     assert!(json.contains("\"code\":\"L020\""), "{json}");
     assert!(json.contains("\"function\":\"use_before_def\""), "{json}");
+}
+
+#[test]
+fn corpus_json_reports_match_the_pinned_bytes() {
+    let corpus = [
+        include_str!("corpus/phi_prefix.iloc"),
+        include_str!("corpus/use_before_def.iloc"),
+        include_str!("corpus/dangling_target.iloc"),
+        include_str!("corpus/double_def.iloc"),
+        include_str!("corpus/critical_edge.iloc"),
+    ];
+    let rendered: Vec<String> = corpus
+        .iter()
+        .map(|text| lint_module(&parse_module(text).unwrap(), &LintOptions::default()).to_json().encode())
+        .collect();
+    assert_eq!(rendered, ["[{\"code\":\"L005\",\"rule\":\"phi-not-prefix\",\"severity\":\"error\",\"function\":\"phi_prefix\",\"block\":3,\"inst\":null,\"message\":\"φ for r3 after non-φ instruction\"}]", "[{\"code\":\"L020\",\"rule\":\"use-before-def\",\"severity\":\"error\",\"function\":\"use_before_def\",\"block\":3,\"inst\":0,\"message\":\"use of r2 in `r3 <- add.i r2, r1` before any definition reaches it\"}]", "[{\"code\":\"L002\",\"rule\":\"dangling-branch-target\",\"severity\":\"error\",\"function\":\"dangling\",\"block\":0,\"inst\":null,\"message\":\"terminator targets missing block b5\"}]", "[{\"code\":\"L010\",\"rule\":\"ssa-double-def\",\"severity\":\"error\",\"function\":\"double_def\",\"block\":3,\"inst\":null,\"message\":\"register r1 defined more than once\"}]", "[{\"code\":\"L031\",\"rule\":\"unsplit-critical-edge\",\"severity\":\"info\",\"function\":\"crit\",\"block\":0,\"inst\":null,\"message\":\"edge b0 -> b2 is critical and unsplit\"}]"]);
 }

@@ -1,67 +1,27 @@
 //! Trace export: JSON Lines and Chrome `trace_event` renderings.
 //!
-//! Both formats are rendered from the merged [`Trace`] with hand-rolled
-//! JSON (the workspace builds against an offline registry — no serde).
-//! Neither rendering includes [`crate::Event::wall_ns`], so equal traces render
-//! to byte-identical output regardless of machine load or `--jobs`.
+//! Both formats are built as [`Json`] values from the merged [`Trace`]
+//! and encoded by the workspace codec. Neither rendering includes
+//! [`crate::Event::wall_ns`], so equal traces render to byte-identical
+//! output regardless of machine load or `--jobs`.
 
-use crate::event::Value;
+use crate::event::{Event, Value};
+use crate::json::{obj, Json};
 use crate::trace::Trace;
-use std::fmt::Write as _;
 
-/// Escape `s` into `out` as JSON string *contents* (no surrounding
-/// quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn value_into(out: &mut String, v: &Value) {
+fn value_json(v: &Value) -> Json {
     match v {
-        Value::U64(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::Map(m) => {
-            out.push('{');
-            for (i, (k, x)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(out, k);
-                let _ = write!(out, "\":{x}");
-            }
-            out.push('}');
-        }
+        Value::U64(x) => Json::U64(*x),
+        Value::Bool(b) => Json::Bool(*b),
+        Value::Str(s) => Json::Str(s.clone()),
+        Value::Map(m) => Json::Obj(m.iter().map(|(k, x)| (k.clone(), Json::U64(*x))).collect()),
     }
 }
 
-fn fields_into(out: &mut String, fields: &[(String, Value)]) {
-    for (k, v) in fields {
-        out.push_str(",\"");
-        escape_into(out, k);
-        out.push_str("\":");
-        value_into(out, v);
-    }
+/// `head` followed by the event's own fields.
+fn with_fields(head: Vec<(&str, Json)>, e: &Event) -> Json {
+    let head = head.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::Obj(head.chain(e.fields.iter().map(|(k, v)| (k.clone(), value_json(v)))).collect())
 }
 
 impl Trace {
@@ -71,15 +31,17 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            let _ = write!(out, "{{\"seq\":{},\"kind\":\"", e.seq);
-            escape_into(&mut out, &e.kind);
-            out.push_str("\",\"function\":\"");
-            escape_into(&mut out, &e.function);
-            out.push_str("\",\"pass\":\"");
-            escape_into(&mut out, &e.pass);
-            let _ = write!(out, "\",\"lane\":{},\"ts\":{},\"dur\":{}", e.lane, e.ts, e.dur);
-            fields_into(&mut out, &e.fields);
-            out.push_str("}\n");
+            let head = vec![
+                ("seq", Json::U64(e.seq)),
+                ("kind", Json::Str(e.kind.clone())),
+                ("function", Json::Str(e.function.clone())),
+                ("pass", Json::Str(e.pass.clone())),
+                ("lane", Json::U64(e.lane.into())),
+                ("ts", Json::U64(e.ts)),
+                ("dur", Json::U64(e.dur)),
+            ];
+            with_fields(head, e).encode_into(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -91,65 +53,44 @@ impl Trace {
     /// as complete (`"ph":"X"`) events and everything else as instants
     /// (`"ph":"i"`). Virtual timestamps are used as microseconds.
     pub fn to_chrome(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |s: &str, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(s);
-        };
-
+        let tid = |e: &Event| Json::U64(u64::from(e.lane) + 1);
         // Thread-name metadata: one per distinct lane, in lane order.
         let mut named: Vec<u32> = Vec::new();
-        let mut line = String::new();
+        let mut items = Vec::new();
         for e in &self.events {
             if named.contains(&e.lane) {
                 continue;
             }
             named.push(e.lane);
-            line.clear();
-            let _ = write!(
-                line,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
-                e.lane + 1
-            );
-            escape_into(&mut line, &e.function);
-            line.push_str("\"}}");
-            emit(&line, &mut out);
+            items.push(obj(vec![
+                ("name", Json::Str("thread_name".into())),
+                ("ph", Json::Str("M".into())),
+                ("pid", Json::U64(1)),
+                ("tid", tid(e)),
+                ("args", obj(vec![("name", Json::Str(e.function.clone()))])),
+            ]));
         }
-
         for e in &self.events {
-            line.clear();
-            line.push_str("{\"name\":\"");
-            escape_into(&mut line, &e.pass);
-            line.push_str("\",\"cat\":\"");
-            escape_into(&mut line, &e.kind);
-            if e.kind == "span" {
-                let _ = write!(
-                    line,
-                    "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
-                    e.lane + 1,
-                    e.ts,
-                    e.dur
-                );
-            } else {
-                let _ = write!(
-                    line,
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                    e.lane + 1,
-                    e.ts
-                );
+            let span = e.kind == "span";
+            let mut fields = vec![
+                ("name", Json::Str(e.pass.clone())),
+                ("cat", Json::Str(e.kind.clone())),
+                ("ph", Json::Str(if span { "X" } else { "i" }.into())),
+            ];
+            if !span {
+                fields.push(("s", Json::Str("t".into())));
             }
-            let _ = write!(line, ",\"args\":{{\"seq\":{},\"function\":\"", e.seq);
-            escape_into(&mut line, &e.function);
-            line.push('"');
-            fields_into(&mut line, &e.fields);
-            line.push_str("}}");
-            emit(&line, &mut out);
+            fields.extend([("pid", Json::U64(1)), ("tid", tid(e)), ("ts", Json::U64(e.ts))]);
+            if span {
+                fields.push(("dur", Json::U64(e.dur)));
+            }
+            let args =
+                vec![("seq", Json::U64(e.seq)), ("function", Json::Str(e.function.clone()))];
+            fields.push(("args", with_fields(args, e)));
+            items.push(obj(fields));
         }
-        out.push_str("]}\n");
+        let mut out = obj(vec![("traceEvents", Json::Arr(items))]).encode();
+        out.push('\n');
         out
     }
 }
@@ -203,8 +144,9 @@ mod tests {
 
     #[test]
     fn escaping_covers_control_chars() {
-        let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
+        let mut lane = FunctionTrace::new("a\"b\\c\nd\te\u{1}", 0);
+        lane.instant("cache", "pipeline", Vec::new());
+        let s = Trace::from_lanes(vec![lane]).to_jsonl();
+        assert!(s.contains("\"function\":\"a\\\"b\\\\c\\nd\\te\\u0001\""), "{s}");
     }
 }

@@ -1,24 +1,30 @@
-//! A minimal JSON value, writer, and parser — just enough for the serve
-//! protocol, with zero dependencies.
+//! The workspace's one JSON codec: a value type, a compact writer, and
+//! a strict parser, with zero dependencies.
 //!
-//! Deliberately narrower than full JSON where the protocol never needs
-//! the width: numbers are unsigned 64-bit integers (every numeric field
-//! in the protocol is a count, a port, or a millisecond quantity), and
-//! object keys are kept in insertion order so encodings are
-//! deterministic. The parser accepts any standard JSON document built
-//! from those shapes and rejects the rest with a positioned error.
+//! Every JSON document the workspace reads or writes goes through here:
+//! the serve protocol's frames, trace exports, lint reports, metrics
+//! renders, Table 1, and the bench run histories. Object keys keep
+//! insertion order, so encodings are deterministic, and a parsed number
+//! keeps its source text, so `parse(s)?.encode()` reproduces any compact
+//! document byte for byte. The parser accepts standard JSON with unique
+//! object keys and rejects everything else (leading zeros, trailing
+//! commas, raw control characters, duplicate keys) with a positioned
+//! error.
 
 use std::fmt;
 
-/// A JSON value restricted to the protocol's shapes.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (the only number shape the protocol uses).
+    /// A non-negative integer that fits in 64 bits: every count, port and
+    /// millisecond quantity in the serve protocol.
     U64(u64),
+    /// Any other number: negative, fractional, exponent or beyond `u64`.
+    Num(Number),
     /// A string.
     Str(String),
     /// An array.
@@ -27,13 +33,26 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// A number outside [`Json::U64`], held as its validated JSON text so it
+/// re-encodes exactly as it was written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Number(String);
+
 impl Json {
+    /// `x` rendered with exactly `places` decimals, as `format!("{x:.3}")`
+    /// does for `places == 3`; `null` when `x` is not finite, since JSON
+    /// has no NaN or infinity.
+    pub fn fixed(x: f64, places: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(Number(format!("{x:.places$}")))
+        } else {
+            Json::Null
+        }
+    }
+
     /// Look up a key in an object (`None` for other shapes).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The value as a string slice, if it is one.
@@ -48,6 +67,15 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64`, if it is a number of either shape.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::U64(n) => Some(*n as f64),
+            Json::Num(n) => n.0.parse().ok(),
             _ => None,
         }
     }
@@ -68,6 +96,14 @@ impl Json {
         }
     }
 
+    /// The value's fields in order, if it is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
     /// Render to a compact single-line JSON string.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -75,7 +111,8 @@ impl Json {
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Append the compact rendering to `out`.
+    pub fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -83,6 +120,7 @@ impl Json {
                 use fmt::Write as _;
                 let _ = write!(out, "{n}");
             }
+            Json::Num(n) => out.push_str(&n.0),
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -151,19 +189,26 @@ impl fmt::Display for JsonError {
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so a frame of nothing but `[` would otherwise overflow a serve
+/// worker's stack and abort the whole daemon; the deepest document
+/// the workspace writes (`BENCH_OPT.json`) nests eight levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -172,7 +217,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -182,7 +227,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -215,27 +260,67 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character (negative and float numbers are \
-                                     outside the protocol's JSON subset)")),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
         }
     }
 
+    /// One number per the JSON grammar. A non-negative integer within
+    /// `u64` parses straight to [`Json::U64`]; anything else keeps its
+    /// text.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("numbers may not have leading zeros"));
+            }
+        } else {
+            self.digits()?;
+        }
+        let mut integer = !negative;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            integer = false;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+            integer = false;
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<u64>() {
+            Ok(n) if integer => Ok(Json::U64(n)),
+            _ => Ok(Json::Num(Number(text.to_string()))),
+        }
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("float numbers are outside the protocol's JSON subset"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        if text.len() > 1 && text.starts_with('0') {
-            return Err(self.err("numbers may not have leading zeros"));
-        }
-        text.parse::<u64>().map(Json::U64).map_err(|_| self.err("integer out of u64 range"))
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -262,8 +347,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let cp = self.hex4()?;
-                            // Surrogate pairs: the protocol escapes only
-                            // control characters, but a conforming client
+                            // Surrogate pairs: the writer escapes only
+                            // control characters, but a conforming peer
                             // may send any string.
                             let c = if (0xD800..0xDC00).contains(&cp) {
                                 self.pos += 1; // step off the high escape's last digit
@@ -291,16 +376,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control character in one step.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(|c: char| c == '"' || c == '\\' || c < ' ').unwrap_or(rest.len());
+                    if run == 0 {
                         return Err(self.err("unescaped control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -423,7 +507,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_subset_documents() {
-        for bad in ["-1", "1.5", "1e3", "01", "{\"a\":1,\"a\":2}", "[1,]", "\"\u{1}\"", "x", "{\"a\" 1}", "[1 2]", "\"abc", "18446744073709551616"] {
+        for bad in ["01", "-01", "-", "1.", ".5", "1e", "1e+", "+1", "{\"a\":1,\"a\":2}", "[1,]", "\"\u{1}\"", "x", "{\"a\" 1}", "[1 2]", "\"abc"] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
         // Unescaped raw control characters are rejected too.
@@ -445,5 +529,42 @@ mod tests {
     fn big_u64_roundtrips() {
         let v = Json::U64(u64::MAX);
         assert_eq!(parse(&v.encode()).unwrap(), v);
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(parse(&"[".repeat(1 << 20)).is_err(), "refused before the stack runs out");
+        assert!(parse(&"{\"a\":".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn every_number_shape_roundtrips_byte_for_byte() {
+        assert_eq!(parse("0").unwrap(), Json::U64(0));
+        assert_eq!(parse("1.5").unwrap().as_u64(), None, "a fraction is not a u64");
+        for text in ["-1", "-0", "0.960", "1.5", "1e3", "1E+3", "-2.5e-7", "18446744073709551616"] {
+            let v = parse(text).unwrap();
+            assert!(matches!(v, Json::Num(_)), "{text}");
+            assert_eq!(v.encode(), text);
+        }
+        assert_eq!(parse("0.960").unwrap().as_f64(), Some(0.96));
+        assert_eq!(parse("-2.5e-7").unwrap().as_f64(), Some(-2.5e-7));
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+        assert_eq!(parse("\"7\"").unwrap().as_f64(), None);
+        let doc = r#"{"a":[0.001,-3,1e9,12],"b":{"c":null}}"#;
+        assert_eq!(parse(doc).unwrap().encode(), doc);
+    }
+
+    #[test]
+    fn fixed_renders_like_the_format_macro() {
+        for x in [0.0, 0.0005, 2.0 / 3.0, 1999.999, 12.3456, -0.25, 1e20] {
+            assert_eq!(Json::fixed(x, 3).encode(), format!("{x:.3}"));
+            assert_eq!(parse(&format!("{x:.3}")).unwrap(), Json::fixed(x, 3));
+        }
+        assert_eq!(Json::fixed(f64::NAN, 3), Json::Null);
+        assert_eq!(Json::fixed(f64::INFINITY, 3), Json::Null);
     }
 }

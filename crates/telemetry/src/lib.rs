@@ -20,6 +20,9 @@
 //! * [`table1`] — the paper's Table 1 (dynamic operation counts per
 //!   level, % improvement vs baseline) as aligned text or JSON, backing
 //!   `epre report`.
+//! * [`json`] — the workspace's one JSON codec: every emitter here,
+//!   the serve protocol, and the bench run histories encode and parse
+//!   through its [`Json`](json::Json) value.
 //! * [`metrics`] — the *live* side of observability: a lock-cheap
 //!   [`MetricsRegistry`] of counters, gauges, and fixed-ladder latency
 //!   histograms with Prometheus-style text and JSON renders, consumed by
@@ -41,6 +44,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod provenance;
 pub mod table1;

@@ -17,8 +17,8 @@
 //!   regardless of observation order, thread interleaving, or merge
 //!   order — the property the bench trajectory and CI greps rely on.
 //! - **Integer-only.** Values are `u64` (microseconds for latency), so
-//!   the JSON render stays inside the serve protocol's integer-only JSON
-//!   subset and reconciles exactly, with no float formatting drift.
+//!   the JSON render holds only [`Json::U64`] numbers and reconciles
+//!   exactly, with no float formatting drift.
 //!
 //! Renders go through [`Snapshot`]: the registry dumps its families,
 //! the caller may push extra counters/gauges from sources it owns (the
@@ -29,6 +29,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::json::{obj, Json};
 
 /// Fixed histogram bucket ladder, in microseconds: powers of two from
 /// 1µs to ~33.6s. Everything above the last bound lands in the implicit
@@ -464,44 +466,31 @@ impl Snapshot {
     }
 
     /// JSON render: one object with a `metrics` array in the same sorted
-    /// order as the text exposition. Integer-only, so it parses with the
-    /// serve protocol's JSON subset.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, e) in self.sorted().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{}\",\"type\":\"{}\"", e.name, e.item.type_name()));
+    /// order as the text exposition. Every value is an integer.
+    pub fn to_json(&self) -> Json {
+        let ints = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::U64(x)).collect());
+        let metrics = self.sorted().into_iter().map(|e| {
+            let mut fields = vec![
+                ("name", Json::Str(e.name.clone())),
+                ("type", Json::Str(e.item.type_name().into())),
+            ];
             if let Some((k, v)) = &e.label {
-                out.push_str(&format!(",\"label\":\"{k}={v}\""));
+                fields.push(("label", Json::Str(format!("{k}={v}"))));
             }
             match &e.item {
                 Item::Counter { value } | Item::Gauge { value } => {
-                    out.push_str(&format!(",\"value\":{value}"));
+                    fields.push(("value", Json::U64(*value)));
                 }
-                Item::Histogram { counts, sum, count } => {
-                    out.push_str(",\"bounds\":[");
-                    for (j, b) in LATENCY_BUCKETS_US.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&b.to_string());
-                    }
-                    out.push_str("],\"counts\":[");
-                    for (j, c) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&c.to_string());
-                    }
-                    out.push_str(&format!("],\"sum\":{sum},\"count\":{count}"));
-                }
+                Item::Histogram { counts, sum, count } => fields.extend([
+                    ("bounds", ints(&LATENCY_BUCKETS_US)),
+                    ("counts", ints(counts)),
+                    ("sum", Json::U64(*sum)),
+                    ("count", Json::U64(*count)),
+                ]),
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            obj(fields)
+        });
+        obj(vec![("metrics", Json::Arr(metrics.collect()))])
     }
 }
 
@@ -596,7 +585,7 @@ mod tests {
                 merged.sum(),
                 merged.count(),
             );
-            (s.to_text(), s.to_json())
+            (s.to_text(), s.to_json().encode())
         };
         let first = build(13, false);
         assert_eq!(first, build(101, true));
@@ -630,11 +619,25 @@ mod tests {
         let r = MetricsRegistry::new();
         r.gauge("epre_b", "").set(2);
         r.counter("epre_a", "").add(1);
-        let json = r.snapshot().to_json();
+        let json = r.snapshot().to_json().encode();
         let a = json.find("\"epre_a\"").unwrap();
         let b = json.find("\"epre_b\"").unwrap();
         assert!(a < b, "sorted by name: {json}");
         assert!(!json.contains('.'), "integer-only render: {json}");
+    }
+
+    #[test]
+    fn json_render_matches_the_pinned_bytes() {
+        let r = MetricsRegistry::new();
+        r.counter("epre_requests_total", "total requests").add(7);
+        r.gauge("epre_queue_depth", "queued conns").set(3);
+        let h = r.histogram_labeled("epre_request_latency_us", Some(("class", "warm")), "latency");
+        for v in [1, 100, 5_000, u64::MAX] {
+            h.observe(v);
+        }
+        let mut snap = r.snapshot();
+        snap.push_counter("epre_cache_hits_total", None, "mirrored", 9);
+        assert_eq!(snap.to_json().encode(), "{\"metrics\":[{\"name\":\"epre_cache_hits_total\",\"type\":\"counter\",\"value\":9},{\"name\":\"epre_queue_depth\",\"type\":\"gauge\",\"value\":3},{\"name\":\"epre_request_latency_us\",\"type\":\"histogram\",\"label\":\"class=warm\",\"bounds\":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536,131072,262144,524288,1048576,2097152,4194304,8388608,16777216,33554432],\"counts\":[1,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,1],\"sum\":5100,\"count\":4},{\"name\":\"epre_requests_total\",\"type\":\"counter\",\"value\":7}]}");
     }
 
     #[test]

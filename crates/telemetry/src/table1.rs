@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{obj, Json};
+
 /// The paper's percentage-improvement convention: `(old − new) / old`,
 /// rendered like Table 1 — empty for no change, `0%`/`-0%` for changes
 /// under half a percent.
@@ -90,50 +92,26 @@ impl Table1 {
         out
     }
 
-    /// Render as a single JSON object (hand-rolled; row names in the
-    /// suite are plain identifiers, but they are escaped anyway).
-    pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\"bench\":\"table1\",\"levels\":[");
-        for (i, l) in self.levels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(l));
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+    /// The table as one JSON object: `bench`, `levels`, per-row `name`,
+    /// `counts` and `pct_vs_baseline` (the text rendering's `%` cells),
+    /// then `totals`.
+    pub fn to_json(&self) -> Json {
+        let counts = |cs: &[u64]| Json::Arr(cs.iter().map(|&c| Json::U64(c)).collect());
+        let rows = self.rows.iter().map(|row| {
             let base = row.counts.first().copied().unwrap_or(0);
-            let _ = write!(out, "{{\"name\":\"{}\",\"counts\":[", escape(&row.name));
-            for (j, c) in row.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("],\"pct_vs_baseline\":[");
-            for (j, c) in row.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", escape(&improvement(base, *c)));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"totals\":[");
-        for (i, t) in self.totals().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{t}");
-        }
-        out.push_str("]}");
-        out
+            let pct = row.counts.iter().map(|&c| Json::Str(improvement(base, c))).collect();
+            obj(vec![
+                ("name", Json::Str(row.name.clone())),
+                ("counts", counts(&row.counts)),
+                ("pct_vs_baseline", Json::Arr(pct)),
+            ])
+        });
+        obj(vec![
+            ("bench", Json::Str("table1".into())),
+            ("levels", Json::Arr(self.levels.iter().map(|l| Json::Str(l.clone())).collect())),
+            ("rows", Json::Arr(rows.collect())),
+            ("totals", counts(&self.totals())),
+        ])
     }
 }
 
@@ -181,7 +159,7 @@ mod tests {
 
     #[test]
     fn json_rendering_is_well_formed_enough() {
-        let json = sample().to_json();
+        let json = sample().to_json().encode();
         assert!(json.starts_with("{\"bench\":\"table1\",\"levels\":[\"baseline\""));
         assert!(json.contains("\"rows\":[{\"name\":\"saxpy\",\"counts\":[100,80,70]"));
         assert!(json.contains("\"pct_vs_baseline\":[\"\",\"20%\",\"30%\"]"));

@@ -68,6 +68,9 @@ end
 ILOC
 target/release/epre opt "$tmpdir/trace_smoke.iloc" \
     --trace "$tmpdir/trace.jsonl" --trace-format jsonl > /dev/null
+target/release/epre opt "$tmpdir/trace_smoke.iloc" \
+    --trace "$tmpdir/trace.json" --trace-format chrome > /dev/null
+target/release/epre lint --json crates/suite/tests/corpus/critical_edge.iloc > "$tmpdir/lint.json"
 lines="$(wc -l < "$tmpdir/trace.jsonl")"
 schema_ok="$(grep -c '^{"seq":[0-9]*,.*"function":.*"pass":' "$tmpdir/trace.jsonl")"
 [ "$lines" -gt 0 ] && [ "$schema_ok" -eq "$lines" ] || {
@@ -221,6 +224,40 @@ grep -q '"server":{"requests":' BENCH_SERVE.json || {
     echo "BENCH_SERVE.json loadgen run missing the server metrics snapshot" >&2
     exit 1
 }
+
+echo "==> JSON artifacts parse with an independent parser"
+# The greps above pin schema needles; this pins well-formedness. Python's
+# json module shares no code with the workspace codec, and NaN, Infinity
+# and duplicate keys are refused on top of its defaults.
+json_check() {
+    python3 -c '
+import json, sys
+
+def pairs(kv):
+    if len({k for k, _ in kv}) != len(kv):
+        raise ValueError("duplicate key")
+    return dict(kv)
+
+def constant(name):
+    raise ValueError("non-JSON constant " + name)
+
+mode = sys.argv[1]
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    docs = text.splitlines() if mode == "lines" else [text]
+    if not docs:
+        sys.exit(path + ": empty")
+    for n, doc in enumerate(docs, 1):
+        try:
+            json.loads(doc, object_pairs_hook=pairs, parse_constant=constant)
+        except ValueError as e:
+            sys.exit("%s:%d: not JSON: %s" % (path, n, e))
+' "$@"
+}
+json_check doc BENCH_OPT.json BENCH_SERVE.json BENCH_TABLE1.json \
+    "$tmpdir/BENCH_TABLE1.json" "$tmpdir/trace.json" "$tmpdir/lint.json"
+json_check lines "$tmpdir/trace.jsonl" "$tmpdir/flight.jsonl" "$tmpdir/flight.jsonl.slow"
 
 echo "==> report refuses a non-monotonic BENCH_SERVE.json"
 # A corrupted run history must be an error, not a silently absorbed

@@ -201,7 +201,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     };
     let report = lint_module(&module, &opts);
     if json {
-        println!("{}", report.to_json());
+        println!("{}", report.to_json().encode());
     } else if report.diagnostics.is_empty() {
         println!("clean: no diagnostics");
     } else {
@@ -654,15 +654,15 @@ fn cmd_report(args: &[String]) -> ExitCode {
         if let Ok(history) = std::fs::read_to_string(bench_file) {
             if !epre_bench::runs_monotonic(&history) {
                 eprintln!(
-                    "error: {bench_file} run history is not monotonic (hand-edited or \
-                     corrupted?); move the file aside and re-run the benches"
+                    "error: {bench_file} is not a well-formed monotonic run history (torn, \
+                     hand-edited or corrupted?); move the file aside and re-run the benches"
                 );
                 return ExitCode::from(1);
             }
         }
     }
     let table = collect_table1(quick);
-    let json_body = table.to_json();
+    let json_body = table.to_json().encode();
     if json {
         println!("{json_body}");
     } else {
@@ -1501,15 +1501,20 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
     }
     if record {
         let existing = std::fs::read_to_string(&out_path).ok();
-        let json = epre_bench::merge_named_runs("serve", existing.as_deref(), &report.json_entry());
-        match std::fs::write(&out_path, &json) {
-            Ok(()) => println!(
-                "wrote {out_path} ({} run(s) on record)",
-                epre_bench::next_run_number(&json)
-            ),
+        match epre_bench::merge_named_runs("serve", existing.as_deref(), report.json_entry()) {
+            Ok(json) => {
+                if let Err(e) = std::fs::write(&out_path, &json) {
+                    eprintln!("error: writing `{out_path}`: {e}");
+                    return ExitCode::from(2);
+                }
+                println!(
+                    "wrote {out_path} ({} run(s) on record)",
+                    epre_bench::next_run_number(&json)
+                );
+            }
             Err(e) => {
-                eprintln!("error: writing `{out_path}`: {e}");
-                return ExitCode::from(2);
+                eprintln!("error: `{out_path}`: {e}; the file is left as it was");
+                failed = true;
             }
         }
     }

@@ -8,6 +8,7 @@
 
 use epre::{measure_module, OptLevel};
 use epre_frontend::NamingMode;
+use epre_telemetry::json::{self, Json};
 use epre_telemetry::{Table1, Table1Row};
 
 /// How many routines `--quick` keeps (the front of the alphabetical
@@ -48,48 +49,27 @@ pub fn collect_table1(quick: bool) -> Table1 {
 /// `BENCH_SERVE.json` history, rendered next to Table 1 by
 /// `epre report` so the serving story sits beside the paper's numbers.
 ///
-/// This string-scans instead of parsing: the history carries float
-/// fields (`rps`, `p99_ms`) that the workspace's integer-only JSON
-/// codec rejects by design, and the report needs exactly four values
-/// per class. Returns `None` when the history has no loadgen entry or
-/// the entry is missing the scanned fields.
+/// The history is read through the workspace codec, and each number is
+/// printed exactly as it was written (`rps`, per-class `p99_ms`).
+/// Returns `None` when the history does not parse, has no loadgen run,
+/// or that run lacks those fields.
 pub fn latest_loadgen_summary(history: &str) -> Option<String> {
-    let tag = "\"loadgen\":true";
-    let pos = history.rfind(tag)?;
-    let entry = &history[pos..];
-    let run = history[..pos].rfind("\"run\":").and_then(|rp| {
-        let digits: String =
-            history[rp + "\"run\":".len()..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse::<u64>().ok()
-    });
-    let rps = scan_number(entry, "rps")?;
-    let classes = &entry[entry.find("\"classes\":{")?..];
-    let mut parts = Vec::new();
-    let mut rest = classes;
-    // Each per-class object opens `"<name>":{"ops":`; the first
-    // `p99_ms` after that anchor belongs to the same class.
-    while let Some(p) = rest.find("\":{\"ops\":") {
-        let before = &rest[..p];
-        let name = &before[before.rfind('"').map_or(0, |i| i + 1)..];
-        if let Some(p99) = scan_number(&rest[p..], "p99_ms") {
-            parts.push(format!("{name} p99 {p99} ms"));
-        }
-        rest = &rest[p + "\":{\"ops\":".len()..];
-    }
+    let doc = json::parse(history).ok()?;
+    let runs = doc.get("runs")?.as_arr()?;
+    let entry = runs.iter().rev().find(|r| r.get("loadgen") == Some(&Json::Bool(true)))?;
+    let number = |v: &Json, key: &str| v.get(key).filter(|n| n.as_f64().is_some()).map(Json::encode);
+    let rps = number(entry, "rps")?;
+    let parts: Vec<String> = entry
+        .get("classes")?
+        .as_obj()?
+        .iter()
+        .filter_map(|(name, c)| Some(format!("{name} p99 {} ms", number(c, "p99_ms")?)))
+        .collect();
     if parts.is_empty() {
         return None;
     }
-    let run_label = run.map_or_else(String::new, |r| format!(" run {r}"));
+    let run_label = entry.get("run").and_then(Json::as_u64).map_or_else(String::new, |r| format!(" run {r}"));
     Some(format!("serve loadgen{run_label}: {rps} rps — {}", parts.join(", ")))
-}
-
-/// The digits-and-dot span right after `"key":`, or `None` when the key
-/// is absent or its value does not start numeric.
-fn scan_number<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &s[s.find(&needle)? + needle.len()..];
-    let end = rest.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
 }
 
 #[cfg(test)]
@@ -109,7 +89,7 @@ mod tests {
         assert!(t.rows.iter().all(|r| r.counts.len() == 4));
         // The renderings work end to end on real data.
         assert!(t.render_text().lines().count() == QUICK_ROUTINES + 2);
-        assert!(t.to_json().starts_with("{\"bench\":\"table1\""));
+        assert!(t.to_json().encode().starts_with("{\"bench\":\"table1\""));
     }
 
     #[test]

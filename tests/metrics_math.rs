@@ -136,7 +136,7 @@ fn merged_histogram_renders_are_byte_deterministic() {
             let handle = reg.histogram("epre_test_latency_us", "test histogram");
             handle.merge_from(h);
             let snap = reg.snapshot();
-            (snap.to_text(), snap.to_json())
+            (snap.to_text(), snap.to_json().encode())
         };
         assert_eq!(render(&direct), render(&merged), "case {case}: renders must be byte-equal");
     }

@@ -5,7 +5,8 @@
 //! dense table rewrite of GVN, PRE and SCCP: Table 1's dynamic counts can
 //! stay put while the code changes, a digest cannot. The traced driver's
 //! JSON Lines export is pinned the same way, so span counters and
-//! provenance cannot drift either.
+//! provenance cannot drift either, and so is its Chrome `trace_event`
+//! export.
 
 use std::collections::HashSet;
 
@@ -60,6 +61,16 @@ const TRACE_DIGESTS: [(OptLevel, u64); 5] = [
     (OptLevel::Reassociation, 0xd5b3_cc91_3a09_cf41),
     (OptLevel::Distribution, 0x6c3f_c44a_4869_919d),
     (OptLevel::DistributionLvn, 0x4756_1f48_4d72_0b37),
+];
+
+/// Digests of `optimize_traced(&m, 2).1.to_chrome()` per level, captured
+/// before the trace exporters moved onto the shared JSON codec.
+const CHROME_DIGESTS: [(OptLevel, u64); 5] = [
+    (OptLevel::Baseline, 0xc04e_6771_00a6_9972),
+    (OptLevel::Partial, 0xeeca_cd3d_4f15_5d2c),
+    (OptLevel::Reassociation, 0x03eb_f02f_0725_a41f),
+    (OptLevel::Distribution, 0xda25_a337_2ea3_0b09),
+    (OptLevel::DistributionLvn, 0x77f1_40d8_0046_4e29),
 ];
 
 fn digest(m: &Module) -> u64 {
@@ -131,4 +142,17 @@ fn traced_jsonl_matches_the_pinned_digests() {
         }
     }
     assert!(wrong.is_empty(), "trace export changed:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn traced_chrome_export_matches_the_pinned_digests() {
+    let m = fused_suite();
+    let mut wrong = Vec::new();
+    for (level, want) in CHROME_DIGESTS {
+        let got = fnv1a64(Optimizer::new(level).optimize_traced(&m, 2).1.to_chrome().as_bytes());
+        if got != want {
+            wrong.push(format!("{level:?}: want {want:#018x}, got {got:#018x}"));
+        }
+    }
+    assert!(wrong.is_empty(), "chrome trace export changed:\n{}", wrong.join("\n"));
 }
